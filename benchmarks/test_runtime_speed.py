@@ -5,7 +5,8 @@ Two claims the paper makes about execution speed:
 1. SafeTSA arrives ready for code generation -- the consumer can go
    straight from decoded SSA to target code (no stack simulation, no
    type inference, no dataflow verification).  `repro.interp.jit` is
-   that code generator, and it beats the interpreter by a wide margin.
+   that code generator, and it beats pure interpretation (tier-up
+   off) by a wide margin.
 2. Producer-side check elimination "eventually leads to faster
    execution": the removed null/bounds checks are real work the
    consumer no longer performs.
@@ -18,7 +19,7 @@ import time
 import pytest
 
 from repro.bench.corpus import corpus_source
-from repro.interp.interpreter import Interpreter
+from repro.fuzz.oracle import PureInterpreter
 from repro.interp.jit import JitCompiler
 from repro.pipeline import compile_to_module
 
@@ -39,7 +40,7 @@ def test_jit_speedup_table():
     for name in ("BitSieve", "Linpack", "BigInt", "MiniVM"):
         source = corpus_source(name)
         module = compile_to_module(source, optimize=True)
-        interp_time = _time(lambda: Interpreter(
+        interp_time = _time(lambda: PureInterpreter(
             module, max_steps=200_000_000).run_main(name), repeat=1)
         jit = JitCompiler(module)
         jit.run_main(name)  # warm (compile) once
@@ -61,9 +62,9 @@ def test_check_elimination_speeds_execution():
     plain = compile_to_module(source)
     optimized = compile_to_module(source, optimize=True)
     # dynamic check counts from the (instrumented) interpreter
-    interp_plain = Interpreter(plain, max_steps=200_000_000)
+    interp_plain = PureInterpreter(plain, max_steps=200_000_000)
     interp_plain.run_main("Linpack")
-    interp_opt = Interpreter(optimized, max_steps=200_000_000)
+    interp_opt = PureInterpreter(optimized, max_steps=200_000_000)
     interp_opt.run_main("Linpack")
     plain_checks = sum(interp_plain.check_counts.values())
     opt_checks = sum(interp_opt.check_counts.values())

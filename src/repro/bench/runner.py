@@ -202,10 +202,10 @@ def run_verifycost() -> str:
 
 
 def run_jitspeed() -> str:
-    from repro.interp.interpreter import Interpreter
+    from repro.fuzz.oracle import PureInterpreter
     from repro.interp.jit import JitCompiler
     lines = [
-        "E9: consumer-side code generation (interpreter vs JIT)",
+        "E9: consumer-side code generation (pure interpretation vs JIT)",
         "",
         f"{'Program':16} {'interp':>10} {'jit':>10} {'speedup':>8}",
         "-" * 48,
@@ -214,7 +214,7 @@ def run_jitspeed() -> str:
     for name in ("BitSieve", "Linpack", "BigInt", "MiniVM"):
         module = compile_to_module(corpus_source(name), optimize=True,
                                    cache=_RUN_CACHE)
-        interp_s = best_of(lambda: Interpreter(
+        interp_s = best_of(lambda: PureInterpreter(
             module, max_steps=200_000_000).run_main(name))
         jit_s = best_of(lambda: JitCompiler(module).run_main(name))
         total_interp += interp_s

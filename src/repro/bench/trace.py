@@ -1,7 +1,9 @@
 """Trace-tier benchmark (E14): what speculative traces buy on loops.
 
 For each loop-heavy corpus program the report times one ``main`` run
-under the plain block-plan interpreter against the same run under
+under the plain block-plan interpreter -- tier-up off
+(:class:`~repro.fuzz.oracle.PureInterpreter`), so the baseline stays
+pure interpretation -- against the same run under
 :class:`~repro.interp.trace.TracingInterpreter` with a warm
 :class:`~repro.cache.TraceCache` -- the serve scenario the cache
 exists for (record once, reuse across requests).  Short programs are
@@ -39,8 +41,8 @@ from typing import Optional
 from repro.bench.corpus import corpus_source
 from repro.bench.loops import LOOP_PROGRAMS
 from repro.cache import TraceCache
+from repro.fuzz.oracle import PureInterpreter
 from repro.interp.interpreter import (
-    Interpreter,
     InterpreterError,
     JavaError,
     StepLimitExceeded,
@@ -82,7 +84,7 @@ class AbortStorm {
 """
 
 
-class _LegacyInterpreter(Interpreter):
+class _LegacyInterpreter(PureInterpreter):
     """The pre-block-plan execution loop: per-instruction ``getattr``
     dispatch, per-transfer successor list comprehensions.  Kept only as
     the micro-opt baseline so BENCH_trace.json records what prebound
@@ -93,12 +95,13 @@ class _LegacyInterpreter(Interpreter):
         frame: dict[int, object] = {}
         for param in function.params:
             frame[param.id] = args[param.index]
+        meter = self.meter
         block = function.entry
         came_from = None
         exception = None
         while True:
-            self.steps += 1
-            if self.steps > self.max_steps:
+            meter.steps += 1
+            if meter.steps > meter.max_steps:
                 raise StepLimitExceeded(
                     f"exceeded {self.max_steps} steps in {function.name}")
             if block.phis:
@@ -159,6 +162,31 @@ class _LegacyInterpreter(Interpreter):
             came_from = (block, "norm")
             block = next_block
 
+    def _execute(self, instr, frame: dict):
+        method = getattr(self, "_exec_" + type(instr).__name__.lower(), None)
+        if method is None:
+            raise InterpreterError(
+                f"cannot execute {type(instr).__name__}")
+        return method(instr, frame)
+
+    @staticmethod
+    def _edge_index(block, came_from) -> int:
+        if came_from is None:
+            raise InterpreterError(f"phis in entry block B{block.id}")
+        source, kind = came_from
+        for index, (pred, pred_kind) in enumerate(block.preds):
+            if pred is source and pred_kind == kind:
+                return index
+        raise InterpreterError(
+            f"edge B{source.id}->B{block.id} not in pred list")
+
+    @staticmethod
+    def _exc_edge_target(block):
+        for succ, kind in block.succs:
+            if kind == "exc":
+                return succ
+        return None
+
 
 def _observe(interp, name: Optional[str]):
     result = interp.run_main(name)
@@ -183,7 +211,7 @@ def _measure_pair(module, name: Optional[str], reps: int,
     kwargs = {} if threshold is None else {"threshold": threshold}
     started = time.perf_counter()
     for _ in range(reps):
-        untraced = Interpreter(module, max_steps=_MAX_STEPS)
+        untraced = PureInterpreter(module, max_steps=_MAX_STEPS)
         expected = _observe(untraced, name)
     untraced_s = time.perf_counter() - started
     cache = TraceCache()
@@ -214,7 +242,7 @@ def _measure_dispatch(module, name: Optional[str], reps: int):
     legacy_s = time.perf_counter() - started
     started = time.perf_counter()
     for _ in range(reps):
-        plan = Interpreter(module, max_steps=_MAX_STEPS)
+        plan = PureInterpreter(module, max_steps=_MAX_STEPS)
         observed = _observe(plan, name)
         assert observed == expected, \
             f"block-plan dispatch diverged from legacy loop on {name}"

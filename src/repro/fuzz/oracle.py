@@ -6,7 +6,8 @@ reports the *first* divergence:
 ==================  ===================================================
 pipeline            what it checks
 ==================  ===================================================
-``interp``          reference: plain module, SafeTSA interpreter
+``interp``          reference: plain module, SafeTSA interpreter with
+                    tier-up off (:class:`PureInterpreter`)
 ``optimized``       producer-side optimisation preserves semantics
 ``passes:<spec>``   each explicit pass spec (via CompilationSession)
 ``wire``            encode -> decode -> execute, plus re-encode
@@ -16,13 +17,22 @@ pipeline            what it checks
 ``jobs``            serial vs parallel per-function optimisation
                     produce bit-identical wire bytes
 ``jit``             consumer code generation on the decoded module
+                    (every function compiled) vs pure interpretation
+                    of it: same output, trap identity, steps and check
+                    counts, also when the step limit cuts the run at
+                    a third, half, and all but one of its steps
+``tiered``          the same, with thresholds low enough to mix
+                    interpreted and compiled frames and to enter
+                    compiled code mid-loop (on-stack replacement)
 ``trace``           speculative trace tier vs untraced interpreter:
                     same output, trap identity, steps, check counts
 ``bytecode``        the independent JVM-bytecode baseline
 ==================  ===================================================
 
 Two pipelines agree when their observable behaviour -- stdout plus the
-Java-level exception name -- is identical.  A pipeline that *crashes*
+Java-level exception name -- is identical; the execution-engine lanes
+(``jit``, ``tiered``, ``trace``) also compare the interpreter's own
+accounting.  A pipeline that *crashes*
 (any Python exception escaping compile/verify/run) is itself a
 divergence: the oracle never lets a host-level error masquerade as
 disagreement-free.
@@ -32,6 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
+
+from repro.interp.interpreter import Interpreter, StepLimitExceeded
 
 #: pass specs compared against the plain module by default; each one is
 #: a legal ``--passes`` spec (see repro.driver.passes.PASS_REGISTRY).
@@ -44,6 +56,23 @@ DEFAULT_PASS_SPECS = (
 )
 
 _MAX_STEPS = 2_000_000
+
+
+class PureInterpreter(Interpreter):
+    """The interpreter with tier-up off: every frame interpreted.  The
+    oracle's reference, and the baseline the engine benchmarks compare
+    against."""
+
+    _TIER_CALLS = None
+    _TIER_LOOPS = None
+
+
+class _TieredInterpreter(Interpreter):
+    """Thresholds low enough that small generated programs run mixed
+    interpreted/compiled frames and enter compiled code by OSR."""
+
+    _TIER_CALLS = 1
+    _TIER_LOOPS = 2
 
 
 @dataclass(frozen=True)
@@ -85,6 +114,36 @@ def _observed(result) -> tuple[str, Optional[str]]:
     return (result.stdout, result.exception_name())
 
 
+def _metered(engine, module, main_class, max_steps: int) -> tuple:
+    """(stdout, trap, steps, check counts) of one run; hitting the step
+    limit is an outcome here, identified by its message."""
+    interp = engine(module, max_steps=max_steps)
+    try:
+        result = interp.run_main(main_class)
+        stdout, trap = result.stdout, result.exception_name()
+    except StepLimitExceeded as error:
+        stdout = "".join(interp.runtime.stdout)
+        trap = f"StepLimitExceeded: {error}"
+    return stdout, trap, interp.steps, dict(interp.check_counts)
+
+
+def _engine_lane(engine, module, main_class, max_steps: int,
+                 expected: tuple) -> tuple:
+    """Run ``engine`` to completion and at three step-limit cuts; each
+    run must match pure interpretation exactly.  Returns the full
+    run's observables, or the first mismatching outcome."""
+    observed = _metered(engine, module, main_class, max_steps)
+    if observed != expected:
+        return observed
+    steps = expected[2]
+    for cut in sorted({steps // 3, steps // 2, steps - 1}):
+        reference = _metered(PureInterpreter, module, main_class, cut)
+        actual = _metered(engine, module, main_class, cut)
+        if actual != reference:
+            return (f"max_steps={cut}",) + actual
+    return observed
+
+
 def check_program(source: str, main_class: Optional[str] = None, *,
                   pass_specs=DEFAULT_PASS_SPECS,
                   jobs: int = 2,
@@ -93,7 +152,6 @@ def check_program(source: str, main_class: Optional[str] = None, *,
     from repro.driver import CompilationSession
     from repro.encode.deserializer import decode_module
     from repro.frontend.errors import CompileError
-    from repro.interp.interpreter import Interpreter
     from repro.interp.jit import JitCompiler
     from repro.jvm.interp import BytecodeInterpreter
     from repro.tsa.verifier import verify_module
@@ -117,7 +175,7 @@ def check_program(source: str, main_class: Optional[str] = None, *,
     try:
         verify_module(module)
         reference = _observed(
-            Interpreter(module, max_steps=max_steps).run_main(main_class))
+            PureInterpreter(module, max_steps=max_steps).run_main(main_class))
     except Exception as error:  # a crashing reference is a finding itself
         return diverged("interp", "clean run", type(error).__name__,
                         str(error)[:200])
@@ -227,10 +285,17 @@ def check_program(source: str, main_class: Optional[str] = None, *,
     if not compare("jobs", run_jobs):
         return result
 
-    # consumer code generation over the decoded module
-    if not compare("jit", lambda: _observed(
-            JitCompiler(holder).run_main(main_class))):
-        return result
+    # the execution engines over the decoded module, each against pure
+    # interpretation of it on every observable and at step-limit cuts
+    pure = _metered(PureInterpreter, holder, main_class, max_steps)
+    for pipeline, engine in (("jit", JitCompiler),
+                             ("tiered", _TieredInterpreter)):
+        def run_engine(engine=engine):
+            observed = _engine_lane(engine, holder, main_class, max_steps,
+                                    pure)
+            return observed[:2] if observed == pure else observed
+        if not compare(pipeline, run_engine):
+            return result
 
     # the speculative trace tier: traced and untraced runs of the very
     # same decoded module must agree on stdout, trap identity, *and*
@@ -239,20 +304,11 @@ def check_program(source: str, main_class: Optional[str] = None, *,
     # when the printed output happens to match
     def run_trace():
         from repro.interp.trace import TracingInterpreter
-        untraced = Interpreter(holder, max_steps=max_steps)
-        plain = _observed(untraced.run_main(main_class))
-        traced_interp = TracingInterpreter(holder, max_steps=max_steps,
-                                           threshold=4)
-        traced = _observed(traced_interp.run_main(main_class))
-        if traced != plain:
-            return traced
-        if traced_interp.steps != untraced.steps:
-            return (f"traced {traced_interp.steps} steps, untraced "
-                    f"{untraced.steps}", None)
-        if dict(traced_interp.check_counts) != dict(untraced.check_counts):
-            return (f"traced checks {dict(traced_interp.check_counts)}, "
-                    f"untraced {dict(untraced.check_counts)}", None)
-        return plain
+        traced = _metered(
+            lambda module, max_steps: TracingInterpreter(
+                module, max_steps=max_steps, threshold=4),
+            holder, main_class, max_steps)
+        return traced[:2] if traced == pure else traced
 
     if not compare("trace", run_trace):
         return result

@@ -6,10 +6,17 @@ was computed before its use, so no scoping machinery is needed at
 runtime.  Phi operands are selected by the index of the incoming edge in
 the block's canonical predecessor list -- the same list the wire format's
 phi operand order is defined by.
+
+Hot functions leave this loop for generated code (see
+:class:`Interpreter` for the tier policy); both tiers share one
+:class:`Meter`, so steps, check counts and limits are exact across any
+mix of interpreted and compiled frames.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from typing import Optional
 
 from repro.interp.heap import (
@@ -17,6 +24,7 @@ from repro.interp.heap import (
     JavaError,
     JStr,
     ObjectRef,
+    runtime_class,
     value_instanceof,
 )
 from repro.interp.runtime import Runtime
@@ -60,25 +68,107 @@ class ExecutionResult:
         return f"<ExecutionResult value={self.value!r}>"
 
 
+class Meter:
+    """The per-run budget and counters, shared by interpreted and
+    compiled frames.  It holds no reference to its engine, so generated
+    code can bind it without keeping the interpreter alive."""
+
+    __slots__ = ("steps", "max_steps", "counts", "max_array_length")
+
+    def __init__(self, max_steps: int):
+        self.steps = 0
+        self.max_steps = max_steps
+        self.counts = {"nullcheck": 0, "idxcheck": 0, "upcast": 0}
+        self.max_array_length: Optional[int] = None
+
+
+class _Tier:
+    """Tier-up state of one function: countdowns to compilation and,
+    once compiled, the generated callable."""
+
+    __slots__ = ("calls", "loops", "code")
+
+    def __init__(self, calls, loops):
+        self.calls = calls
+        self.loops = loops
+        self.code = None
+
+
+class _Tiers(dict):
+    """Function -> :class:`_Tier`, created on first lookup."""
+
+    def __init__(self, calls: int, loops: int):
+        super().__init__()
+        self.thresholds = (calls, loops)
+
+    def __missing__(self, function: Function) -> _Tier:
+        tier = self[function] = _Tier(*self.thresholds)
+        return tier
+
+
 class Interpreter:
-    """Executes a SafeTSA module."""
+    """Executes a SafeTSA module, tiering hot functions onto generated
+    code.
+
+    A function is interpreted until it has been invoked more than
+    ``_TIER_CALLS`` times or its phi blocks (every loop header with a
+    loop-carried value is one) have been entered more than
+    ``_TIER_LOOPS`` times in total.  It is then translated by
+    :mod:`repro.interp.jit`; later calls run the generated code, and a
+    frame that crossed the loop threshold continues in it mid-loop (on-
+    stack replacement from its register frame and current block).
+    Generated code is metered exactly like interpretation -- one step
+    per executed block, the same ``check_counts``, the same step-limit
+    point and message, the same allocation cap -- so no observable
+    depends on which tier ran.  The thresholds are private: subclasses
+    set both to ``None`` to interpret only, or to ``0`` to compile every
+    function on its first call (:class:`~repro.interp.jit.JitCompiler`).
+    """
+
+    _TIER_CALLS: Optional[int] = 1000
+    _TIER_LOOPS: Optional[int] = 1000
 
     def __init__(self, module: Module, max_steps: int = 50_000_000):
         self.module = module
         self.world = module.world
         self.runtime = Runtime(module.world)
-        self.runtime.invoke_virtual = self._invoke_virtual_for_runtime
-        self.max_steps = max_steps
-        #: optional cap on single-array allocations; None = unlimited.
-        #: The fuzz harness sets this so a mutated length constant in an
-        #: otherwise valid module cannot exhaust host memory.
-        self.max_array_length: Optional[int] = None
-        self.steps = 0
-        self.check_counts = {"nullcheck": 0, "idxcheck": 0, "upcast": 0}
+        self.runtime.invoke_virtual = _weak_invoke_virtual(weakref.ref(self))
+        self.meter = Meter(max_steps)
+        self._counts = self.meter.counts
         self._initialized = False
         #: block id -> _BlockPlan; per-block handler/phi/terminator
         #: resolution done once instead of per executed instruction.
         self._plans: dict[int, _BlockPlan] = {}
+        #: None when tier-up is off
+        self._tiers: Optional[_Tiers] = None
+        if self._TIER_CALLS is not None:
+            self._tiers = _Tiers(self._TIER_CALLS, self._TIER_LOOPS)
+        self._linker = None
+
+    # -- the meter, under the interpreter's long-standing names ----------
+
+    @property
+    def steps(self) -> int:
+        return self.meter.steps
+
+    @property
+    def max_steps(self) -> int:
+        return self.meter.max_steps
+
+    @property
+    def check_counts(self) -> dict:
+        return self.meter.counts
+
+    @property
+    def max_array_length(self) -> Optional[int]:
+        """Optional cap on single-array allocations; None = unlimited.
+        The fuzz harness sets this so a mutated length constant in an
+        otherwise valid module cannot exhaust host memory."""
+        return self.meter.max_array_length
+
+    @max_array_length.setter
+    def max_array_length(self, cap: Optional[int]) -> None:
+        self.meter.max_array_length = cap
 
     # ==================================================================
     # entry points
@@ -131,14 +221,41 @@ class Interpreter:
                         self.call(function, [])
 
     # ==================================================================
+    # tiering
+
+    def _tier_up(self, function: Function, tier: _Tier):
+        """Translate ``function``; None (and never again) when the
+        translator rejects its shape, which leaves it interpreted."""
+        if tier.code is None:
+            from repro.interp.jit import JitError, Linker
+            if self._linker is None:
+                self._linker = Linker(self)
+            try:
+                tier.code = self._linker.translate(function)
+            except JitError:
+                tier.calls = tier.loops = math.inf
+        return tier.code
+
+    # ==================================================================
     # calls
 
     def call(self, function: Function, args: list):
+        tier = None
+        if self._tiers is not None:
+            tier = self._tiers[function]
+            code = tier.code
+            if code is None:
+                tier.calls -= 1
+                if tier.calls < 0:
+                    code = self._tier_up(function, tier)
+            if code is not None:
+                return code(*args)
         frame: dict[int, object] = {}
         for param in function.params:
             frame[param.id] = args[param.index]
         plans = self._plans
-        max_steps = self.max_steps
+        meter = self.meter
+        max_steps = meter.max_steps
         block = function.entry
         plan = plans.get(block.id)
         if plan is None:
@@ -147,8 +264,8 @@ class Interpreter:
         came_block: Optional[Block] = None
         exception: Optional[ObjectRef] = None
         while True:
-            self.steps += 1
-            if self.steps > max_steps:
+            meter.steps += 1
+            if meter.steps > max_steps:
                 raise StepLimitExceeded(
                     f"exceeded {max_steps} steps in {function.name}")
             moves = plan.moves
@@ -162,6 +279,16 @@ class Interpreter:
                 values = [frame[source] for source in sources]
                 for target, value in zip(targets, values):
                     frame[target] = value
+                if tier is not None:
+                    tier.loops -= 1
+                    if tier.loops < 0:
+                        code = self._tier_up(function, tier)
+                        if code is not None:
+                            # on-stack replacement: the step and the phi
+                            # moves of this block are done; the compiled
+                            # frame resumes at its first instruction
+                            return code(*args, _osr=(frame, plan.block_id,
+                                                     exception))
             for handler, instr, store in plan.ops:
                 if handler is None:  # CaughtExc
                     frame[store] = exception
@@ -226,33 +353,8 @@ class Interpreter:
         return InterpreterError(
             f"edge B{came_block.id}->B{block.id} not in pred list")
 
-    @staticmethod
-    def _edge_index(block: Block, came_from) -> int:
-        if came_from is None:
-            raise InterpreterError(f"phis in entry block B{block.id}")
-        source, kind = came_from
-        for index, (pred, pred_kind) in enumerate(block.preds):
-            if pred is source and pred_kind == kind:
-                return index
-        raise InterpreterError(
-            f"edge B{source.id}->B{block.id} not in pred list")
-
-    @staticmethod
-    def _exc_edge_target(block: Block) -> Optional[Block]:
-        for succ, kind in block.succs:
-            if kind == "exc":
-                return succ
-        return None
-
     # ==================================================================
     # instruction execution
-
-    def _execute(self, instr: ir.Instr, frame: dict):
-        method = getattr(self, "_exec_" + type(instr).__name__.lower(), None)
-        if method is None:
-            raise InterpreterError(
-                f"cannot execute {type(instr).__name__}")
-        return method(instr, frame)
 
     def _exec_const(self, instr: ir.Const, frame):
         if isinstance(instr.value, str):
@@ -277,7 +379,7 @@ class Interpreter:
 
     def _exec_nullcheck(self, instr: ir.NullCheck, frame):
         value = frame[instr.operands[0].id]
-        self.check_counts["nullcheck"] += 1
+        self._counts["nullcheck"] += 1
         if value is None:
             self.runtime.throw("java.lang.NullPointerException")
         return value
@@ -285,7 +387,7 @@ class Interpreter:
     def _exec_idxcheck(self, instr: ir.IdxCheck, frame):
         array = frame[instr.array.id]
         index = frame[instr.index.id]
-        self.check_counts["idxcheck"] += 1
+        self._counts["idxcheck"] += 1
         if not isinstance(array, ArrayRef):
             raise InterpreterError("idxcheck on non-array")
         if not 0 <= index < array.length:
@@ -296,7 +398,7 @@ class Interpreter:
 
     def _exec_upcast(self, instr: ir.Upcast, frame):
         value = frame[instr.operands[0].id]
-        self.check_counts["upcast"] += 1
+        self._counts["upcast"] += 1
         if value is None:
             return None  # Java checkcast passes null through
         if not value_instanceof(self.world, value, instr.target_type):
@@ -355,10 +457,10 @@ class Interpreter:
         if length < 0:
             self.runtime.throw("java.lang.NegativeArraySizeException",
                                str(length))
-        if self.max_array_length is not None \
-                and length > self.max_array_length:
+        cap = self.meter.max_array_length
+        if cap is not None and length > cap:
             raise AllocationLimitExceeded(
-                f"new array of {length} > cap {self.max_array_length}")
+                f"new array of {length} > cap {cap}")
         return ArrayRef(instr.array_type, length)
 
     def _exec_instanceof(self, instr: ir.InstanceOf, frame):
@@ -374,19 +476,7 @@ class Interpreter:
         return self._invoke(method, args)
 
     def _resolve_virtual(self, receiver, method: MethodInfo) -> MethodInfo:
-        from repro.interp.heap import runtime_class
-        cls = runtime_class(self.world, receiver)
-        if cls is None:
-            raise InterpreterError("virtual dispatch on null receiver")
-        if method.vtable_slot >= 0 and method.vtable_slot < len(cls.vtable):
-            resolved = cls.vtable[method.vtable_slot]
-            if resolved.signature == method.signature:
-                return resolved
-        # builtin receiver (e.g. JStr) dispatches by signature search
-        for candidate in cls.methods_named(method.name):
-            if candidate.signature == method.signature:
-                return candidate
-        return method
+        return resolve_virtual(self.world, receiver, method)
 
     def _invoke(self, method: MethodInfo, args: list):
         if method.is_native:
@@ -400,6 +490,31 @@ class Interpreter:
     def _invoke_virtual_for_runtime(self, receiver, method: MethodInfo):
         resolved = self._resolve_virtual(receiver, method)
         return self._invoke(resolved, [receiver])
+
+
+def resolve_virtual(world, receiver, method: MethodInfo) -> MethodInfo:
+    """The implementation ``method`` dispatches to on ``receiver``."""
+    cls = runtime_class(world, receiver)
+    if cls is None:
+        raise InterpreterError("virtual dispatch on null receiver")
+    if 0 <= method.vtable_slot < len(cls.vtable):
+        resolved = cls.vtable[method.vtable_slot]
+        if resolved.signature == method.signature:
+            return resolved
+    # builtin receiver (e.g. JStr) dispatches by signature search
+    for candidate in cls.methods_named(method.name):
+        if candidate.signature == method.signature:
+            return candidate
+    return method
+
+
+def _weak_invoke_virtual(interp_ref):
+    """The runtime's re-entry callback.  It holds the interpreter
+    weakly: the runtime is reachable from generated code, which must not
+    keep its engine alive."""
+    def invoke_virtual(receiver, method: MethodInfo):
+        return interp_ref()._invoke_virtual_for_runtime(receiver, method)
+    return invoke_virtual
 
 
 class _BlockPlan:

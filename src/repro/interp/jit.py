@@ -17,30 +17,43 @@ translation consumes the SSA directly:
 * exception edges become ``try/except`` around the subblock's trapping
   tail, jumping to the dispatch block.
 
-Semantically the JIT is bit-for-bit equivalent to
-:class:`repro.interp.interpreter.Interpreter` (tested differentially);
-operationally it is several times faster, which stands in for the
-paper's "competitive runtime system" claim.
+This is the compiled tier of :class:`~repro.interp.interpreter.
+Interpreter`, and it is metered exactly like interpretation: one step
+at function entry and one per taken edge, ``check_counts`` per executed
+``nullcheck``/``idxcheck``/``upcast``, the interpreter's step-limit
+point and message, and its ``max_array_length`` cap.  Steps and check
+counts accumulate in frame locals and are flushed to the shared
+:class:`~repro.interp.interpreter.Meter` before every call (callees
+must see the caller's steps) and, in a ``finally``, on every exit.
+A generated function also has an on-stack-replacement entry: given the
+interpreter's register frame and the current block id it resumes
+mid-function.  :class:`JitCompiler` is the always-compile setting of
+the same engine.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Callable, Optional
 
-from repro import jmath
 from repro.interp.heap import (
     ArrayRef,
     JavaError,
     JStr,
     ObjectRef,
-    runtime_class,
     value_instanceof,
 )
-from repro.interp.interpreter import ExecutionResult
-from repro.interp.runtime import Runtime
+from repro.interp.interpreter import (
+    AllocationLimitExceeded,
+    Interpreter,
+    InterpreterError,
+    StepLimitExceeded,
+    resolve_virtual,
+)
 from repro.ssa import ir
-from repro.ssa.ir import Block, Function, Module
+from repro.ssa.ir import Block, Function
+from repro.typesys.ops import OPS_BY_TYPE
 from repro.typesys.world import MethodInfo
 
 
@@ -62,151 +75,184 @@ class _Emitter:
         return "\n".join(self.lines)
 
 
-class JitCompiler:
-    """Translates a module's functions to Python callables on demand."""
+class Linker:
+    """Translation and call-site binding for one engine.
 
-    def __init__(self, module: Module):
-        self.module = module
-        self.world = module.world
-        self.runtime = Runtime(module.world)
-        self.runtime.invoke_virtual = self._invoke_virtual_for_runtime
-        self._compiled: dict[int, Callable] = {}
+    Generated code reaches the engine only through this object, which
+    holds the interpreter weakly: the runtime, meter and tier table are
+    shared, so interpreted and compiled frames see one run, and no
+    reference cycle leads from generated globals back to the
+    :class:`Interpreter`.
+    """
+
+    def __init__(self, interp: Interpreter):
+        self.world = interp.world
+        self.runtime = interp.runtime
+        self.meter = interp.meter
+        self.functions = interp.module.functions
+        self.tiers = interp._tiers
+        self._interp = weakref.ref(interp)
         self._names = itertools.count(1)
-        self._initialized = False
 
-    # ------------------------------------------------------------------
-    # public API (mirrors the interpreter)
-
-    def run_main(self, class_name: Optional[str] = None,
-                 method_name: str = "main") -> ExecutionResult:
-        target = None
-        # key-only iteration keeps a lazily loaded module lazy
-        for method in self.module.functions:
-            if method.name != method_name or not method.is_static:
-                continue
-            if class_name is not None and \
-                    method.declaring.name.split(".")[-1] != \
-                    class_name.split(".")[-1]:
-                continue
-            target = self.module.functions[method]
-            break
-        if target is None:
-            raise JitError(f"no static {method_name} found")
-        args = [None] if target.method.param_types else []
-        return self.run_function(target, args)
-
-    def run_function(self, function: Function,
-                     args: list) -> ExecutionResult:
-        self._ensure_initialized()
-        compiled = self.get(function)
-        exception = None
-        value = None
+    def translate(self, function: Function) -> Callable:
+        env: dict = {"_JavaError": JavaError, "_IE": InterpreterError,
+                     "_m": self.meter, "_C": self.meter.counts}
+        emitter = _Emitter()
+        name = f"_jit_{next(self._names)}"
         try:
-            value = compiled(*args)
-        except JavaError as error:
-            exception = error.value
-        return ExecutionResult(value, exception,
-                               "".join(self.runtime.stdout), 0)
+            _MethodTranslator(self, function, env, emitter).translate(name)
+            exec(compile(emitter.source(), f"<jit:{function.name}>",
+                         "exec"), env)
+        except RecursionError:
+            # translating deep in a recursion: the function stays
+            # interpreted, which meters identically
+            raise JitError(f"no stack left to translate {function.name}")
+        except SyntaxError as error:  # pragma: no cover - translator bug
+            raise JitError(f"generated bad code for {function.name}: "
+                           f"{error}\n{emitter.source()}") from None
+        return env[name]
 
-    def _ensure_initialized(self) -> None:
-        if self._initialized:
-            return
-        self._initialized = True
-        for info in self.module.classes:
-            for method in info.methods:
-                if method.name == "<clinit>":
-                    function = self.module.functions.get(method)
-                    if function is not None:
-                        self.get(function)()
+    # -- call sites ------------------------------------------------------
 
-    # ------------------------------------------------------------------
-    # compilation
-
-    def get(self, function: Function) -> Callable:
-        cached = self._compiled.get(id(function))
-        if cached is None:
-            cached = self._translate(function)
-            self._compiled[id(function)] = cached
-        return cached
-
-    def _invoker(self, call: ir.Call) -> Callable:
-        """A call-site closure: static binding resolves once, virtual
-        dispatch memoizes per runtime class."""
+    def site(self, call: ir.Call, slot: dict, key: str) -> Callable:
+        """The initial binding of call site ``slot[key]``.  Targets are
+        resolved on first execution, never at translation: on a lazy or
+        streaming module, resolving a callee decodes its body."""
         method = call.method
-        if not call.dispatch:
-            return self._static_invoker(method)
-        table: dict[int, Callable] = {}
-        resolve = self._resolve_virtual
-        static_invoker = self._static_invoker
+        if call.dispatch:
+            return self._virtual_site(method)
+        link = self._link
+
+        def first_call(*args):
+            return link(method, slot, key)(*args)
+        return first_call
+
+    def _virtual_site(self, method: MethodInfo) -> Callable:
+        """Dispatch memoized per runtime class."""
+        table: dict = {}
+        world = self.world
+        link = self._link
 
         def invoke_virtual(*args):
             receiver = args[0]
-            key = id(receiver.__class__) if not isinstance(
-                receiver, ObjectRef) else id(receiver.class_info)
+            key = receiver.class_info if receiver.__class__ is ObjectRef \
+                else receiver.__class__
             target = table.get(key)
             if target is None:
-                resolved = resolve(receiver, method)
-                target = static_invoker(resolved)
-                table[key] = target
+                target = link(resolve_virtual(world, receiver, method),
+                              table, key)
             return target(*args)
         return invoke_virtual
 
-    def _static_invoker(self, method: MethodInfo) -> Callable:
+    def _link(self, method: MethodInfo, slot: dict, key) -> Callable:
+        """Bind ``slot[key]`` to the cheapest way to call ``method``:
+        its generated code if it has any, else a trampoline into the
+        interpreter that rebinds the slot once the callee tiers up."""
         if method.is_native:
             runtime = self.runtime
 
-            def invoke_native(*args):
+            def target(*args):
                 return runtime.invoke_native(method, list(args))
-            return invoke_native
-        function = self.module.functions.get(method)
-        if function is None:
-            raise JitError(f"no body for {method.qualified_name}")
-        cell: list = []
-        get = self.get
+        else:
+            function = self.functions.get(method)
+            if function is None:
+                raise InterpreterError(
+                    f"no body for method {method.qualified_name}")
+            tier = self.tiers[function]
+            target = tier.code or _trampoline(self._interp, function,
+                                              tier, slot, key)
+        slot[key] = target
+        return target
 
-        def invoke(*args):
-            if not cell:
-                cell.append(get(function))
-            return cell[0](*args)
-        return invoke
 
-    def _resolve_virtual(self, receiver, method: MethodInfo) -> MethodInfo:
-        cls = runtime_class(self.world, receiver)
-        if cls is None:
-            raise JitError("virtual dispatch on a non-object")
-        if 0 <= method.vtable_slot < len(cls.vtable):
-            resolved = cls.vtable[method.vtable_slot]
-            if resolved.signature == method.signature:
-                return resolved
-        for candidate in cls.methods_named(method.name):
-            if candidate.signature == method.signature:
-                return candidate
-        return method
+def _trampoline(interp_ref, function: Function, tier, slot: dict,
+                key) -> Callable:
+    def interpreted(*args):
+        code = tier.code
+        if code is None:
+            return interp_ref().call(function, list(args))
+        slot[key] = code
+        return code(*args)
+    return interpreted
 
-    def _invoke_virtual_for_runtime(self, receiver, method: MethodInfo):
-        resolved = self._resolve_virtual(receiver, method)
-        return self._static_invoker(resolved)(receiver)
 
-    # ------------------------------------------------------------------
-    # translation
+class JitCompiler(Interpreter):
+    """The always-compile setting of the tiered engine: every function
+    is translated on its first call."""
 
-    def _translate(self, function: Function) -> Callable:
-        env: dict = {"_JavaError": JavaError}
-        emitter = _Emitter()
-        name = f"_jit_{next(self._names)}"
-        translator = _FunctionTranslator(self, function, env, emitter)
-        translator.translate(name)
-        code = emitter.source()
-        try:
-            exec(compile(code, f"<jit:{function.name}>", "exec"), env)
-        except SyntaxError as error:  # pragma: no cover - translator bug
-            raise JitError(f"generated bad code for {function.name}: "
-                           f"{error}\n{code}") from None
-        return env[name]
+    _TIER_CALLS = 0
+    _TIER_LOOPS = 0
+
+    def get(self, function: Function) -> Callable:
+        """``function``'s generated code, translating it now if needed."""
+        code = self._tier_up(function, self._tiers[function])
+        if code is None:
+            raise JitError(f"cannot translate {function.name}")
+        return code
+
+
+def _prim_expressions() -> dict:
+    """(base type, operation) -> a Python expression template that
+    computes exactly what the operation's ``fold`` computes, for the
+    non-trapping operations cheap enough to spell out inline; the rest
+    stay calls to their fold."""
+    def wrap(expr: str, bits: int) -> str:  # jmath.i32 / jmath.i64
+        half, mask = 1 << (bits - 1), (1 << bits) - 1
+        return f"((({expr}) + {half:#x}) & {mask:#x}) - {half:#x}"
+
+    table = {}
+    compare = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==",
+               "ne": "!="}
+    for base in ("int", "long", "float", "double", "char", "boolean"):
+        for name, symbol in compare.items():
+            table[(base, name)] = f"{{0}} {symbol} {{1}}"
+    for base, bits in (("int", 32), ("long", 64)):
+        shift = f"({{1}} & {bits - 1})"
+        table.update({
+            (base, "add"): wrap("{0} + {1}", bits),
+            (base, "sub"): wrap("{0} - {1}", bits),
+            (base, "mul"): wrap("{0} * {1}", bits),
+            (base, "neg"): wrap("-{0}", bits),
+            (base, "compl"): wrap("~{0}", bits),
+            (base, "and"): "{0} & {1}",
+            (base, "or"): "{0} | {1}",
+            (base, "xor"): "{0} ^ {1}",
+            (base, "shl"): wrap(f"{{0}} << {shift}", bits),
+            (base, "shr"): f"{{0}} >> {shift}",
+            (base, "ushr"): wrap(f"({{0}} & {(1 << bits) - 1:#x}) >> {shift}",
+                                 bits),
+            (base, "to_double"): "float({0})",
+        })
+    table.update({
+        ("int", "to_long"): "{0}",
+        ("char", "to_int"): "{0}",
+        ("double", "add"): "{0} + {1}",
+        ("double", "sub"): "{0} - {1}",
+        ("double", "mul"): "{0} * {1}",
+        ("double", "neg"): "-{0}",
+        ("boolean", "and"): "{0} and {1}",
+        ("boolean", "or"): "{0} or {1}",
+        ("boolean", "xor"): "{0} != {1}",
+        ("boolean", "not"): "not {0}",
+    })
+    return {(str(base), op.name): table[(str(base), op.name)]
+            for base, ops in OPS_BY_TYPE.items() for op in ops
+            if (str(base), op.name) in table}
+
+
+#: see :func:`_prim_expressions`
+PRIM_EXPRESSIONS = _prim_expressions()
+
+#: check kind -> the frame-local counter the metered translator keeps
+_CHECK_LOCALS = {"nullcheck": "_c0", "idxcheck": "_c1", "upcast": "_c2"}
 
 
 class _FunctionTranslator:
-    def __init__(self, jit: JitCompiler, function: Function, env: dict,
+    """Instruction emission, shared by the method JIT and the trace
+    tier.  ``jit`` provides ``world``, ``runtime``, ``meter`` and, for
+    the unmetered call emission here, ``_invoker(call)``."""
+
+    def __init__(self, jit, function: Function, env: dict,
                  emitter: _Emitter):
         self.jit = jit
         self.function = function
@@ -219,116 +265,8 @@ class _FunctionTranslator:
         self.env[name] = value
         return name
 
-    # -- helpers bound once per function -----------------------------------
-
-    def translate(self, name: str) -> None:
-        function = self.function
-        method = function.method
-        arity = len(method.param_types) + (0 if method.is_static else 1)
-        params = ", ".join(f"a{i}" for i in range(arity))
-        self.out.emit(f"def {name}({params}):")
-        self.out.indent += 1
-        reachable = [b for b in function.reachable_blocks()]
-        if not reachable:
-            self.out.emit("return None")
-            self.out.indent -= 1
-            return
-        for param in function.params:
-            self.out.emit(f"v{param.id} = a{param.index}")
-        self.out.emit("_exc = None")
-        self.out.emit(f"_b = {function.entry.id}")
-        self.out.emit("while True:")
-        self.out.indent += 1
-        for index, block in enumerate(reachable):
-            keyword = "if" if index == 0 else "elif"
-            self.out.emit(f"{keyword} _b == {block.id}:")
-            self.out.indent += 1
-            self._translate_block(block)
-            self.out.indent -= 1
-        self.out.emit("else:")
-        self.out.indent += 1
-        self.out.emit("raise RuntimeError('jit: bad block id')")
-        self.out.indent -= 2
-        self.out.indent -= 1
-
-    def _phi_copies(self, source: Block, target: Block, kind: str) -> str:
-        """The parallel copy for edge source->target (may be '')."""
-        if not target.phis:
-            return ""
-        index = None
-        for position, (pred, pred_kind) in enumerate(target.preds):
-            if pred is source and pred_kind == kind:
-                index = position
-                break
-        if index is None:
-            raise JitError("edge missing from predecessor list")
-        targets = ", ".join(f"v{phi.id}" for phi in target.phis)
-        values = ", ".join(f"v{phi.operands[index].id}"
-                           for phi in target.phis)
-        return f"{targets} = {values}"
-
-    def _jump(self, source: Block, target: Block, kind: str = "norm") -> None:
-        copies = self._phi_copies(source, target, kind)
-        if copies:
-            self.out.emit(copies)
-        self.out.emit(f"_b = {target.id}")
-        self.out.emit("continue")
-
-    def _translate_block(self, block: Block) -> None:
-        exc_target = block.exc_succ()
-        body = list(block.instrs)
-        tail_trap = (exc_target is not None and body and body[-1].traps
-                     and block.term is not None
-                     and block.term.kind == "fall")
-        plain = body[:-1] if tail_trap else body
-        for instr in plain:
-            self._translate_instr(instr)
-        if tail_trap:
-            self.out.emit("try:")
-            self.out.indent += 1
-            self._translate_instr(body[-1])
-            self.out.indent -= 1
-            self.out.emit("except _JavaError as _e:")
-            self.out.indent += 1
-            self.out.emit("_exc = _e.value")
-            self._jump(block, exc_target, "exc")
-            self.out.indent -= 1
-        self._translate_term(block, exc_target)
-
-    def _translate_term(self, block: Block, exc_target) -> None:
-        term = block.term
-        if term is None:
-            raise JitError(f"B{block.id} lacks a terminator")
-        if term.kind == "return":
-            value = f"v{term.value.id}" if term.value is not None else "None"
-            self.out.emit(f"return {value}")
-            return
-        if term.kind == "throw":
-            if exc_target is not None:
-                self.out.emit(f"_exc = v{term.value.id}")
-                self._jump(block, exc_target, "exc")
-            else:
-                self.out.emit(f"raise _JavaError(v{term.value.id})")
-            return
-        if term.kind == "unreachable":
-            self.out.emit("raise RuntimeError('jit: unreachable')")
-            return
-        normal = block.normal_succs()
-        if term.kind == "branch":
-            if len(normal) != 2:
-                raise JitError("branch without two successors")
-            self.out.emit(f"if v{term.value.id}:")
-            self.out.indent += 1
-            self._jump(block, normal[0])
-            self.out.indent -= 1
-            self.out.emit("else:")
-            self.out.indent += 1
-            self._jump(block, normal[1])
-            self.out.indent -= 1
-            return
-        if len(normal) != 1:
-            raise JitError(f"{term.kind} with {len(normal)} successors")
-        self._jump(block, normal[0])
+    def _count(self, kind: str) -> None:
+        """Hook: a check of ``kind`` is about to execute (unmetered)."""
 
     # -- instructions -------------------------------------------------------
 
@@ -356,7 +294,12 @@ class _FunctionTranslator:
     def _i_prim(self, instr: ir.Prim) -> None:
         operation = instr.operation
         args = ", ".join(f"v{op.id}" for op in instr.operands)
-        if operation.traps:
+        template = PRIM_EXPRESSIONS.get(
+            (str(operation.base), operation.name))
+        if template is not None:
+            self.out.emit(f"v{instr.id} = " + template.format(
+                *(f"v{op.id}" for op in instr.operands)))
+        elif operation.traps:
             wrapper = self.bind(_trapping(operation.fold, self.jit.runtime))
             self.out.emit(f"v{instr.id} = {wrapper}({args})")
         else:
@@ -369,6 +312,7 @@ class _FunctionTranslator:
                       f"v{instr.operands[1].id}")
 
     def _i_nullcheck(self, instr: ir.NullCheck) -> None:
+        self._count("nullcheck")
         helper = self.bind(self.jit.runtime)
         value = f"v{instr.operands[0].id}"
         self.out.emit(f"if {value} is None: "
@@ -376,11 +320,16 @@ class _FunctionTranslator:
         self.out.emit(f"v{instr.id} = {value}")
 
     def _i_idxcheck(self, instr: ir.IdxCheck) -> None:
+        self._count("idxcheck")
         helper = self.bind(_idxcheck_helper(self.jit.runtime))
-        self.out.emit(f"v{instr.id} = {helper}(v{instr.array.id}, "
-                      f"v{instr.index.id})")
+        array, index = f"v{instr.array.id}", f"v{instr.index.id}"
+        # in bounds inline; the helper only runs to throw
+        self.out.emit(f"if not 0 <= {index} < len({array}.elements): "
+                      f"{helper}({array}, {index})")
+        self.out.emit(f"v{instr.id} = {index}")
 
     def _i_upcast(self, instr: ir.Upcast) -> None:
+        self._count("upcast")
         helper = self.bind(_upcast_helper(self.jit, instr.target_type))
         self.out.emit(f"v{instr.id} = {helper}(v{instr.operands[0].id})")
 
@@ -430,6 +379,7 @@ class _FunctionTranslator:
 
     def _i_newarray(self, instr: ir.NewArray) -> None:
         helper = self.bind(_newarray_helper(self.jit.runtime,
+                                            self.jit.meter,
                                             instr.array_type))
         self.out.emit(f"v{instr.id} = {helper}(v{instr.operands[0].id})")
 
@@ -448,8 +398,272 @@ class _FunctionTranslator:
         self.out.emit(f"v{instr.id} = _exc")
 
 
+class _MethodTranslator(_FunctionTranslator):
+    """Whole-function translation with exact metering and an OSR entry.
+
+    Generated shape::
+
+        def _jit_1(a0, a1, _osr=None):
+            _n = 0                  # steps not yet flushed to _m
+            _c1 = 0                 # idxchecks not yet flushed to _C
+            try:
+                _lim = _m.max_steps - _m.steps
+                if _osr is None:
+                    v3 = a0; v4 = a1; _exc = None; _b = 5
+                else:               # resume an interpreted frame whose
+                    _n = -1         # step for block _b is already taken
+                    _fr, _b, _exc = _osr
+                    v3, v7, = map(_fr.get, (3, 7,))
+                while True:
+                    if _b == 5:
+                        _n += 1     # the block's step
+                        if _n > _lim: _sle()
+                        ...
+                        if v9:
+                            v7, v8 = v8, v7     # phi copies of the edge
+                            _b = 6
+                            continue
+                        else:       # sole successor: emitted in place
+                            _n += 1
+                            if _n > _lim: _sle()
+                            ...
+                    if _b == 6: ...
+            finally:
+                _m.steps += _n
+                _C['idxcheck'] += _c1
+
+    Like the interpreter it charges one step at the top of every
+    executed block, which is one at function entry plus one per taken
+    edge.  A block whose only predecessor reaches it by a normal edge,
+    and which has no phis, is emitted in place of that edge instead of
+    getting a dispatch arm: less code to compile and no dispatch to
+    run.  Phi blocks, the only on-stack-replacement targets, always
+    keep their arm.
+    """
+
+    #: deepest indentation at which a block is still emitted in place
+    _MAX_INLINE_INDENT = 40
+
+    def _count(self, kind: str) -> None:
+        self.out.emit(f"{_CHECK_LOCALS[kind]} += 1")
+        self.counted.add(kind)
+
+    def translate(self, name: str) -> None:
+        function = self.function
+        method = function.method
+        arity = len(method.param_types) + (0 if method.is_static else 1)
+        params = "".join(f"a{i}, " for i in range(arity))
+        self.counted: set[str] = set()
+        self.step_limit = self.bind(_step_limit_helper(self.jit.meter,
+                                                       function.name))
+        blocks = function.reachable_blocks()
+        if not blocks:
+            raise JitError(f"{function.name} has no reachable blocks")
+        entry = function.entry
+        self.inline = {block for block in blocks
+                       if block is not entry and not block.phis
+                       and len(block.preds) == 1
+                       and block.preds[0][1] == "norm"}
+        self.arms = [block for block in blocks if block not in self.inline]
+        out = self.out
+        out.emit(f"def {name}({params}_osr=None):")
+        prologue = len(out.lines)
+        out.indent = 2
+        out.emit("_lim = _m.max_steps - _m.steps")
+        out.emit("if _osr is None:")
+        out.indent += 1
+        for param in function.params:
+            out.emit(f"v{param.id} = a{param.index}")
+        out.emit("_exc = None")
+        out.emit(f"_b = {entry.id}")
+        out.indent -= 1
+        out.emit("else:")
+        out.indent += 1
+        out.emit("_n = -1")
+        out.emit("_fr, _b, _exc = _osr")
+        regs = _osr_registers(function, blocks)
+        if regs:
+            out.emit("".join(f"v{reg}, " for reg in regs) + "= map(_fr.get, ("
+                     + "".join(f"{reg}, " for reg in regs) + "))")
+        out.indent -= 1
+        out.emit("while True:")
+        out.indent += 1
+        # every arm ends in continue/return/raise, so the arms are flat
+        # ifs, not an elif chain: an elif chain nests one level per arm
+        # and Python's compiler overflows its recursion limit on big
+        # functions.  _jump appends blocks it could not emit in place.
+        for block in self.arms:
+            out.emit(f"if _b == {block.id}:")
+            out.indent += 1
+            self._translate_block(block)
+            out.indent -= 1
+        out.emit("raise _IE('jit: bad block id')")
+        out.indent = 1
+        out.emit("finally:")
+        out.emit("    _m.steps += _n")
+        kinds = sorted(self.counted, key=list(_CHECK_LOCALS).index)
+        for kind in kinds:
+            out.emit(f"    _C[{kind!r}] += {_CHECK_LOCALS[kind]}")
+        locals_ = ["    _n = 0"] + [f"    {_CHECK_LOCALS[kind]} = 0"
+                                   for kind in kinds] + ["    try:"]
+        out.lines[prologue:prologue] = locals_
+
+    def _phi_copies(self, source: Block, target: Block, kind: str) -> str:
+        """The parallel copy for edge source->target (may be '')."""
+        if not target.phis:
+            return ""
+        index = None
+        for position, (pred, pred_kind) in enumerate(target.preds):
+            if pred is source and pred_kind == kind:
+                index = position
+                break
+        if index is None:
+            raise JitError("edge missing from predecessor list")
+        targets = ", ".join(f"v{phi.id}" for phi in target.phis)
+        values = ", ".join(f"v{phi.operands[index].id}"
+                           for phi in target.phis)
+        return f"{targets} = {values}"
+
+    def _jump(self, source: Block, target: Block, kind: str = "norm") -> None:
+        """Take an edge: its phi copies, then the target block, in place
+        or through its dispatch arm."""
+        if target in self.inline:
+            if self.out.indent <= self._MAX_INLINE_INDENT:
+                self._translate_block(target)
+                return
+            self.inline.discard(target)
+            self.arms.append(target)
+        copies = self._phi_copies(source, target, kind)
+        if copies:
+            self.out.emit(copies)
+        self.out.emit(f"_b = {target.id}")
+        self.out.emit("continue")
+
+    def _translate_block(self, block: Block) -> None:
+        self.out.emit("_n += 1")
+        self.out.emit(f"if _n > _lim: {self.step_limit}()")
+        exc_target = block.exc_succ()
+        body = list(block.instrs)
+        tail_trap = (exc_target is not None and body and body[-1].traps
+                     and block.term is not None
+                     and block.term.kind == "fall")
+        plain = body[:-1] if tail_trap else body
+        for instr in plain:
+            self._translate_instr(instr)
+        if tail_trap:
+            last = body[-1]
+            call = isinstance(last, ir.Call)
+            if call:
+                self._flush()
+            self.out.emit("try:")
+            self.out.indent += 1
+            if call:
+                self._emit_call(last)
+            else:
+                self._translate_instr(last)
+            self.out.indent -= 1
+            self.out.emit("except _JavaError as _e:")
+            self.out.indent += 1
+            self.out.emit("_exc = _e.value")
+            if call:
+                self._relimit()
+            self._jump(block, exc_target, "exc")
+            self.out.indent -= 1
+            if call:
+                self._relimit()
+        self._translate_term(block, exc_target)
+
+    def _translate_term(self, block: Block, exc_target) -> None:
+        term = block.term
+        if term is None:
+            raise JitError(f"B{block.id} lacks a terminator")
+        if term.kind == "return":
+            value = f"v{term.value.id}" if term.value is not None else "None"
+            self.out.emit(f"return {value}")
+            return
+        if term.kind == "throw":
+            if exc_target is not None:
+                self.out.emit(f"_exc = v{term.value.id}")
+                self._jump(block, exc_target, "exc")
+            else:
+                self.out.emit(f"raise _JavaError(v{term.value.id})")
+            return
+        if term.kind == "unreachable":
+            message = f"reached unreachable terminator in " \
+                f"{self.function.name}"
+            self.out.emit(f"raise _IE({message!r})")
+            return
+        normal = block.normal_succs()
+        if term.kind == "branch":
+            if len(normal) != 2:
+                raise JitError("branch without two successors")
+            self.out.emit(f"if v{term.value.id}:")
+            self.out.indent += 1
+            self._jump(block, normal[0])
+            self.out.indent -= 1
+            self.out.emit("else:")
+            self.out.indent += 1
+            self._jump(block, normal[1])
+            self.out.indent -= 1
+            return
+        if len(normal) != 1:
+            raise JitError(f"{term.kind} with {len(normal)} successors")
+        self._jump(block, normal[0])
+
+    # -- calls: a callee, natives included (they may re-enter user code
+    # through Runtime.invoke_virtual), meters into the same budget, so
+    # the frame's pending steps are flushed before it and the limit is
+    # re-read after
+
+    def _flush(self) -> None:
+        self.out.emit("_m.steps += _n")
+        self.out.emit("_n = 0")
+
+    def _relimit(self) -> None:
+        self.out.emit("_lim = _m.max_steps - _m.steps")
+
+    def _emit_call(self, instr: ir.Call) -> None:
+        name = self.bind(None)
+        self.env[name] = self.jit.site(instr, self.env, name)
+        args = ", ".join(f"v{op.id}" for op in instr.operands)
+        target = f"v{instr.id} = " if instr.plane is not None else ""
+        self.out.emit(f"{target}{name}({args})")
+
+    def _i_call(self, instr: ir.Call) -> None:
+        self._flush()
+        self._emit_call(instr)
+        self._relimit()
+
+
+def _osr_registers(function: Function, blocks: list[Block]) -> list[int]:
+    """Registers an OSR entry must reload from the interpreter's frame:
+    parameters, phis, and every value used outside its defining block
+    (a value used only where it is defined is recomputed before use)."""
+    regs = {param.id for param in function.params}
+    for block in blocks:
+        for phi in block.phis:
+            regs.add(phi.id)
+            regs.update(op.id for op in phi.operands)
+        for instr in block.instrs:
+            for op in instr.operands:
+                if op.block is not block:
+                    regs.add(op.id)
+        term = block.term
+        if term is not None and term.value is not None \
+                and term.value.block is not block:
+            regs.add(term.value.id)
+    return sorted(regs)
+
+
 # ----------------------------------------------------------------------
 # bound helpers
+
+def _step_limit_helper(meter, name: str):
+    def step_limit():
+        raise StepLimitExceeded(
+            f"exceeded {meter.max_steps} steps in {name}")
+    return step_limit
+
 
 def _trapping(fold, runtime):
     def apply(*args):
@@ -492,11 +706,15 @@ def _instanceof_helper(jit, target_type):
     return check
 
 
-def _newarray_helper(runtime, array_type):
+def _newarray_helper(runtime, meter, array_type):
     def newarray(length):
         if length < 0:
             runtime.throw("java.lang.NegativeArraySizeException",
                           str(length))
+        cap = meter.max_array_length
+        if cap is not None and length > cap:
+            raise AllocationLimitExceeded(
+                f"new array of {length} > cap {cap}")
         return ArrayRef(array_type, length)
     return newarray
 

@@ -42,7 +42,6 @@ from repro.analysis.loops import find_loops
 from repro.cache import TraceCache, default_trace_cache
 from repro.interp.heap import JavaError, ObjectRef
 from repro.interp.interpreter import (
-    AllocationLimitExceeded,
     Interpreter,
     InterpreterError,
     StepLimitExceeded,
@@ -178,6 +177,7 @@ class _InterpAdapter:
         self.interp = interp
         self.world = interp.world
         self.runtime = interp.runtime
+        self.meter = interp.meter
 
     def _invoker(self, call: ir.Call):
         interp = self.interp
@@ -203,37 +203,9 @@ class _InterpAdapter:
         return invoke_virtual
 
 
-def _trace_newarray_helper(interp: Interpreter, array_type):
-    """Unlike the JIT's helper this honours ``max_array_length`` so a
-    traced run keeps the interpreter's fuzzing allocation guard."""
-    from repro.interp.heap import ArrayRef
-    runtime = interp.runtime
-
-    def newarray(length):
-        if length < 0:
-            runtime.throw("java.lang.NegativeArraySizeException",
-                          str(length))
-        cap = interp.max_array_length
-        if cap is not None and length > cap:
-            raise AllocationLimitExceeded(
-                f"new array of {length} > cap {cap}")
-        return ArrayRef(array_type, length)
-    return newarray
-
-
 class _TraceOps(_FunctionTranslator):
     """Instruction emission for traces: the JIT handlers, minus the
     shapes a linear trace cannot contain."""
-
-    def __init__(self, adapter, function, env, emitter,
-                 interp: Interpreter):
-        super().__init__(adapter, function, env, emitter)
-        self.interp = interp
-
-    def _i_newarray(self, instr: ir.NewArray) -> None:
-        helper = self.bind(_trace_newarray_helper(self.interp,
-                                                  instr.array_type))
-        self.out.emit(f"v{instr.id} = {helper}(v{instr.operands[0].id})")
 
     def _i_caughtexc(self, instr: ir.CaughtExc) -> None:
         raise _TraceCompileError("exception dispatch block on trace path")
@@ -250,7 +222,7 @@ class _TraceCompiler:
         def _trace(interp, frame):
             _trips = 0; _pc = -1
             v3 = frame.get(3, _M); ...
-            _maxtrips = (interp.max_steps - interp.steps) // PATH_LEN
+            _maxtrips = (_m.max_steps - _m.steps) // PATH_LEN
             try:
                 while True:
                     if _trips >= _maxtrips: raise _X(0)     # budget
@@ -271,9 +243,9 @@ class _TraceCompiler:
             return _trips, _site, _err
 
     Traces containing calls cannot precompute a trip budget (nested
-    frames consume steps too); they commit ``interp.steps`` per block
-    top and raise the step limit inline instead, which keeps ``steps``
-    exact in both flavours.
+    frames consume steps too); they commit ``_m.steps`` (the shared
+    meter) per block top and raise the step limit inline instead, which
+    keeps ``steps`` exact in both flavours.
     """
 
     def __init__(self, interp: Interpreter, function: Function,
@@ -282,10 +254,11 @@ class _TraceCompiler:
         self.function = function
         self.path = path
         self.env: dict = {"_JavaError": JavaError, "_X": _TraceExit,
-                          "_M": _MISSING, "_SLE": StepLimitExceeded}
+                          "_M": _MISSING, "_SLE": StepLimitExceeded,
+                          "_m": interp.meter}
         self.out = _Emitter()
         self.ops = _TraceOps(_InterpAdapter(interp), function, self.env,
-                             self.out, interp)
+                             self.out)
         self.sites: list[_Site] = []
         self.checks = [0, 0, 0]  # nullcheck, idxcheck, upcast per trip
 
@@ -364,7 +337,7 @@ class _TraceCompiler:
             step_msg = self.ops.bind(
                 f"exceeded {interp.max_steps} steps in {function.name}")
         else:
-            out.emit(f"_maxtrips = (interp.max_steps - interp.steps) "
+            out.emit(f"_maxtrips = (_m.max_steps - _m.steps) "
                      f"// {len(path)}")
         out.emit("try:")
         out.indent += 1
@@ -378,8 +351,8 @@ class _TraceCompiler:
             self._emit_move(*self._edge_move(path[-1], path[0]))
         for k, block in enumerate(path):
             if has_calls:
-                out.emit("interp.steps += 1")
-                out.emit(f"if interp.steps > interp.max_steps: "
+                out.emit("_m.steps += 1")
+                out.emit(f"if _m.steps > _m.max_steps: "
                          f"raise _SLE({step_msg})")
             self._emit_block(k, block)
         out.emit("_trips += 1")
@@ -617,7 +590,12 @@ class TracingInterpreter(Interpreter):
     Bit-identical to the base interpreter on every observable --
     result, stdout, heap effects, trap identity, ``steps`` and
     ``check_counts`` -- which the fuzz oracle's trace lane enforces.
+    Method tier-up stays off: ``--trace`` runs the trace tier over the
+    plain interpreter and nothing else.
     """
+
+    _TIER_CALLS = None
+    _TIER_LOOPS = None
 
     def __init__(self, module: Module, max_steps: int = 50_000_000, *,
                  threshold: int = TRACE_DEFAULT_THRESHOLD,
@@ -645,7 +623,8 @@ class TracingInterpreter(Interpreter):
         for param in function.params:
             frame[param.id] = args[param.index]
         plans = self._plans
-        max_steps = self.max_steps
+        meter = self.meter
+        max_steps = meter.max_steps
         manager = self.traces
         fstate = manager.state_for(function)
         headers = fstate.headers if fstate.live else None
@@ -724,7 +703,7 @@ class TracingInterpreter(Interpreter):
                                 trips * per[1] + prefix[1]
                             counts["upcast"] += trips * per[2] + prefix[2]
                             if not trace.has_calls:
-                                self.steps += trips * trace.path_len \
+                                meter.steps += trips * trace.path_len \
                                     + site.steps_prefix
                             if trips == 0 and site.kind != "budget":
                                 trace.aborts += 1
@@ -762,8 +741,8 @@ class TracingInterpreter(Interpreter):
                             rec_path = [plan.block]
                             rec_visits = [0]
             # ---------- base interpreter loop (see Interpreter.call) ---
-            self.steps += 1
-            if self.steps > max_steps:
+            meter.steps += 1
+            if meter.steps > max_steps:
                 raise StepLimitExceeded(
                     f"exceeded {max_steps} steps in {function.name}")
             moves = plan.moves

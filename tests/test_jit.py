@@ -11,6 +11,7 @@ import pytest
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.encode.deserializer import decode_module
 from repro.encode.serializer import encode_module
+from repro.fuzz.oracle import PureInterpreter
 from repro.interp.interpreter import Interpreter
 from repro.interp.jit import JitCompiler
 from repro.pipeline import compile_to_module
@@ -26,10 +27,15 @@ def jit_run(source, main_class=None, optimize=False):
 def test_jit_matches_interpreter_on_corpus(program):
     source = corpus_source(program)
     module = compile_to_module(source, optimize=True)
-    expected = Interpreter(module, max_steps=80_000_000).run_main(program)
-    actual = JitCompiler(module).run_main(program)
+    reference = PureInterpreter(module, max_steps=80_000_000)
+    expected = reference.run_main(program)
+    jit = JitCompiler(module, max_steps=80_000_000)
+    actual = jit.run_main(program)
     assert actual.stdout == expected.stdout
     assert actual.exception_name() == expected.exception_name()
+    # metered exactly like interpretation
+    assert actual.steps == expected.steps > 0
+    assert jit.check_counts == reference.check_counts
 
 
 def test_jit_runs_decoded_modules():
@@ -186,7 +192,7 @@ def test_jit_is_faster_than_interpreter():
     source = corpus_source("BitSieve")
     module = compile_to_module(source, optimize=True)
     start = time.perf_counter()
-    Interpreter(module, max_steps=80_000_000).run_main("BitSieve")
+    PureInterpreter(module, max_steps=80_000_000).run_main("BitSieve")
     interp_time = time.perf_counter() - start
     jit = JitCompiler(module)
     start = time.perf_counter()
@@ -194,3 +200,42 @@ def test_jit_is_faster_than_interpreter():
     jit_time = time.perf_counter() - start
     assert jit_time < interp_time, \
         f"jit {jit_time:.3f}s not faster than interp {interp_time:.3f}s"
+
+
+def test_inline_primitive_expressions_match_their_folds():
+    """Every operation the JIT spells out inline computes exactly what
+    its fold computes: same value, same Python type, NaN and -0.0
+    included, at the wrap-around and shift-mask edges."""
+    import itertools
+    import math
+
+    from repro.interp.jit import PRIM_EXPRESSIONS
+    from repro.typesys.ops import OPS_BY_TYPE
+    ints = [0, 1, -1, 2, 31, 32, 33, 63, 64, 65, -33, 12345, -98765,
+            2 ** 30, 2 ** 31 - 1, -2 ** 31]
+    samples = {
+        "int": ints,
+        "long": ints + [2 ** 40 + 7, -2 ** 50, 2 ** 63 - 1, -2 ** 63],
+        "float": [0.0, -0.0, 1.5, math.nan, math.inf],
+        "double": [0.0, -0.0, 1.5, -2.25, 3.0, 1e308, math.nan,
+                   math.inf, -math.inf],
+        "boolean": [True, False],
+        "char": [0, 65, 0xFFFF],
+    }
+    checked = set()
+    for base, operations in OPS_BY_TYPE.items():
+        for operation in operations:
+            template = PRIM_EXPRESSIONS.get((str(base), operation.name))
+            if template is None:
+                continue
+            checked.add((str(base), operation.name))
+            names = [f"a{i}" for i in range(len(operation.params))]
+            code = compile(template.format(*names), "<prim>", "eval")
+            for args in itertools.product(
+                    *(samples[str(param)] for param in operation.params)):
+                expected = operation.fold(*args)
+                actual = eval(code, dict(zip(names, args)))
+                assert (type(actual), repr(actual)) == \
+                    (type(expected), repr(expected)), \
+                    (operation.qualified_name, args)
+    assert checked == set(PRIM_EXPRESSIONS)
