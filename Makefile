@@ -41,7 +41,7 @@ bench-pipeline:
 	$(PYTHON) -m repro.bench.runner pipeline --smoke
 
 # Consumer-side load cost: two-pass decode+verify vs the fused
-# loader's cold/warm/parallel/lazy paths; writes BENCH_load.json and
+# loader's cold/warm/lazy paths; writes BENCH_load.json and
 # fails if the fused cold path stops beating the two-pass baseline.
 bench-load:
 	$(PYTHON) -m repro.bench.runner load --smoke

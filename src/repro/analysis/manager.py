@@ -26,9 +26,9 @@ under a name, mirroring the lint-rule registry.  Built-in analyses:
 ``range``      :func:`repro.analysis.range.analyze_ranges`
 =============  ====================================================
 
-The manager is thread-safe for the driver's per-function fan-out:
-worker threads operate on disjoint functions, so the lock only guards
-the shared cache dictionary and the hit/computed counters.
+The manager is thread-safe for callers working on disjoint functions:
+the lock only guards the shared cache dictionary and the hit/computed
+counters.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class AnalysisManager:
                 self.hits += 1
                 self._account(name)["hits"] += 1
                 return self._cache[key]
-        # compute outside the lock: parallel workers own disjoint
+        # compute outside the lock: concurrent callers own disjoint
         # functions, so no two threads ever solve the same problem
         value = solver(function)
         with self._lock:

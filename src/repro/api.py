@@ -60,20 +60,18 @@ def decode_module(data: bytes, *, store=None):
     return _decode(data, store=store)
 
 
-def load_module(data: bytes, *, lazy: bool = False,
-                jobs: Optional[int] = None, store=None):
+def load_module(data: bytes, *, lazy: bool = False, store=None):
     """Load wire bytes through the fused verifying loader.
 
     One pass decodes *and* verifies; repeat loads of the same bytes hit
     the verified-module cache and skip the residual rule sweeps.
-    ``lazy=True`` defers each function body to first touch; ``jobs``
-    fans warm-load body decoding across N threads (0 = one per CPU).
+    ``lazy=True`` defers each function body to first touch.
     ``store`` resolves v2 envelopes, as in :func:`decode_module`.
     Rejects exactly the streams :func:`decode_module` +
     ``verify_module`` reject (see ``docs/LOADER.md``).
     """
     from repro.loader import load_module as _load
-    return _load(data, lazy=lazy, jobs=jobs, store=store)
+    return _load(data, lazy=lazy, store=store)
 
 
 def stream_module(chunks, *, store=None):

@@ -25,10 +25,9 @@ Figure 5 comparison needs):
    ``workers`` honestly reports 1 -- the speedup there is all analysis
    sharing; on multi-core CI both effects compound.
 
-3. **Is the fan-out safe?**  For every corpus artifact the parallel
-   session must produce bit-identical encoded bytes and equal per-pass
-   statistics to the serial session (also enforced as a tier-1 test in
-   ``tests/test_driver.py``).
+3. **Is the fan-out safe?**  For every corpus artifact the process
+   pool must produce bit-identical encoded bytes to the in-process
+   session run.
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.bench.metrics import TRANSMITTED_FLAGS
 from repro.driver import CompilationSession
 
-#: thread fan-out width used for the determinism comparison
-_DETERMINISM_JOBS = 4
-
 
 def _artifacts(programs) -> list[tuple[str, str, dict]]:
     """(label, source, session flags) per transmitted corpus artifact."""
@@ -57,23 +53,18 @@ def _artifacts(programs) -> list[tuple[str, str, dict]]:
     return out
 
 
-def _session_for(flags: dict, jobs=None) -> CompilationSession:
-    return CompilationSession(cache=False, jobs=jobs, **flags)
-
-
-def _run_session_workload(label_source_flags, jobs=None):
+def _run_session_workload(label_source_flags):
     """Worker: one artifact's full producer workload through a session:
     build, verify, optimise, re-verify, encode -- plus, for the
     optimised form, the bytecode baseline Figure 5 compares against
     (sharing the session's memoized front end, where the legacy path
     parses a second time).
 
-    Returns (label, wire bytes, deterministic report dicts, session
-    pass-report) -- everything picklable, so this runs under a process
-    pool too.
+    Returns (label, wire bytes, session pass-report) -- everything
+    picklable, so this runs under a process pool too.
     """
     label, source, flags = label_source_flags
-    session = _session_for(flags, jobs=jobs)
+    session = CompilationSession(cache=False, **flags)
     module = session.build_module(source)
     session.verify(module)  # admission check on the built module
     session.optimize(module)
@@ -81,9 +72,7 @@ def _run_session_workload(label_source_flags, jobs=None):
     wire = session.encode(module)
     if flags.get("optimize"):
         session.compile_to_classfiles(source)
-    reports = [report.as_dict(seconds=False)
-               for report in session.reports]
-    return label, wire, reports, session.pass_report()
+    return label, wire, session.pass_report()
 
 
 def _run_legacy_workload(label_source_flags):
@@ -173,27 +162,16 @@ def pipeline_report(programs=None, repeats=None,
                                   workers)
         parallel_s = time.perf_counter() - start
 
-    # 4. determinism: thread fan-out vs serial, bytes + reports
-    mismatched = []
-    for item, (label, serial_wire, serial_reports, _) \
-            in zip(artifacts, session_runs):
-        p_label, parallel_wire, parallel_reports, _ = \
-            _run_session_workload(item, jobs=_DETERMINISM_JOBS)
-        assert p_label == label
-        if parallel_wire != serial_wire \
-                or parallel_reports != serial_reports:
-            mismatched.append(label)
-    pool_bytes_equal = all(
-        pool_wire == serial_wire
-        for (_, serial_wire, _, _), (_, pool_wire, _, _)
-        in zip(session_runs, parallel_runs))
+    # 4. determinism: the process pool vs the in-process session
+    mismatched = [label for (label, wire, _), (_, pool_wire, _)
+                  in zip(session_runs, parallel_runs) if pool_wire != wire]
 
     # 5. analysis-cache accounting + per-pass seconds, aggregated over
     # the corpus (one timed run's worth of sessions)
     cache_totals = {"computed": 0, "hits": 0, "invalidations": 0}
     per_analysis: dict = {}
     pass_seconds: dict = {}
-    for _, _, _, pass_report in session_runs:
+    for _, _, pass_report in session_runs:
         stats = pass_report["analysis_cache"]
         for key in cache_totals:
             cache_totals[key] += stats[key]
@@ -215,7 +193,7 @@ def pipeline_report(programs=None, repeats=None,
     report["session"] = {
         "seconds": round(session_s, 4),
         "mode": "CompilationSession: shared AnalysisManager and "
-                "front end, jobs=1",
+                "front end",
     }
     report["parallel"] = {
         "seconds": round(parallel_s, 4),
@@ -228,10 +206,7 @@ def pipeline_report(programs=None, repeats=None,
         round(serial_s / session_s, 3) if session_s else None
     report["determinism"] = {
         "artifacts": len(artifacts),
-        "thread_jobs": _DETERMINISM_JOBS,
-        "identical_bytes": not mismatched,
-        "identical_reports": not mismatched,
-        "pool_identical_bytes": pool_bytes_equal,
+        "pool_identical_bytes": not mismatched,
         "mismatched": mismatched,
     }
     report["analysis_cache"] = {

@@ -356,7 +356,7 @@ def run_pipeline(argv=()) -> str:
         handle.write("\n")
     cache = report["analysis_cache"]
     determinism = report["determinism"]
-    return "\n".join([
+    text = "\n".join([
         f"pipeline benchmark ({'smoke, ' if smoke else ''}"
         f"{report['artifacts']} artifacts) -> {output}",
         "",
@@ -369,10 +369,15 @@ def run_pipeline(argv=()) -> str:
         f"({report['parallel_speedup_vs_serial']}x vs serial)",
         f"  analysis cache: {cache['consumers_per_computed']} consumers "
         f"per computed result (hit rate {cache['hit_rate']:.0%})",
-        f"  determinism: identical bytes for "
+        f"  determinism: process pool gives identical bytes for "
         f"{determinism['artifacts']} artifact(s): "
-        f"{determinism['identical_bytes']}",
+        f"{determinism['pool_identical_bytes']}",
     ])
+    if not determinism["pool_identical_bytes"]:
+        raise SystemExit(
+            text + "\nDETERMINISM GUARD: the process pool produced "
+            f"different bytes for {', '.join(determinism['mismatched'])}")
+    return text
 
 
 def run_analysis(argv=()) -> str:

@@ -11,8 +11,8 @@ yielded the nonsense counter ``2``.
 
 Report equality ignores wall-clock seconds: two sessions are considered
 to have produced *identical* reports when every pass reports the same
-statistics for the same function -- the determinism contract the
-parallel fan-out is tested against.
+statistics for the same function -- the determinism contract
+repeated compiles are tested against.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class PassReport:
 
     def as_dict(self, *, seconds: bool = True) -> dict:
         """JSON-shaped view; ``seconds=False`` gives the deterministic
-        part only (what parallel-vs-serial comparisons use)."""
+        part only (what determinism comparisons use)."""
         entries = [
             {"pass": e["pass"], "stats": dict(e["stats"]),
              **({"seconds": round(e["seconds"], 6)} if seconds else {})}

@@ -289,8 +289,8 @@ class _ModuleDecoder:
 class _FunctionDecoder:
     def __init__(self, parent: _ModuleDecoder, method: MethodInfo,
                  reader: Optional[BitReader] = None):
-        # a private reader lets the loader decode bodies off worker
-        # threads, each seeking to its own recorded boundary
+        # a private reader lets the lazy and streaming loaders decode
+        # one body from its own recorded boundary
         self.reader = parent.reader if reader is None else reader
         self.world = parent.world
         self.table = parent.table

@@ -14,8 +14,6 @@ pipeline            what it checks
                     bit-identity (``encode(decode(w)) == w``)
 ``wire-v2``         v2 envelope and delta resolve to the identical v1
                     bytes, decode, verify, and execute identically
-``jobs``            serial vs parallel per-function optimisation
-                    produce bit-identical wire bytes
 ``jit``             consumer code generation on the decoded module
                     (every function compiled) vs pure interpretation
                     of it: same output, trap identity, steps and check
@@ -146,7 +144,6 @@ def _engine_lane(engine, module, main_class, max_steps: int,
 
 def check_program(source: str, main_class: Optional[str] = None, *,
                   pass_specs=DEFAULT_PASS_SPECS,
-                  jobs: int = 2,
                   max_steps: int = _MAX_STEPS) -> OracleResult:
     """Run ``source`` through the whole agreement matrix."""
     from repro.driver import CompilationSession
@@ -270,19 +267,6 @@ def check_program(source: str, main_class: Optional[str] = None, *,
         return reference
 
     if not compare("wire-v2", run_wire_v2):
-        return result
-
-    # serial vs parallel optimisation: bit-identical artifacts
-    def run_jobs():
-        parallel = CompilationSession(optimize=True, cache=False, jobs=jobs)
-        parallel_module = parallel.build_module(source)
-        parallel.optimize(parallel_module)
-        parallel_wire = parallel.encode(parallel_module)
-        if parallel_wire != wire:
-            return (f"jobs={jobs} produced different bytes", None)
-        return reference
-
-    if not compare("jobs", run_jobs):
         return result
 
     # the execution engines over the decoded module, each against pure

@@ -1,4 +1,4 @@
-"""Fused verifying decoder + warm/parallel load paths.
+"""Fused verifying decoder + cold/warm load paths.
 
 The decoder already enforces the bulk of the verifier's property set by
 construction: every symbol is drawn from an alphabet computed over the
@@ -24,23 +24,20 @@ A cold load therefore costs one decode plus an O(instructions) sweep.
 A warm load -- the wire bytes' digest hits the
 :class:`repro.cache.VerifiedModuleCache` -- skips the sweeps and reuses
 the recorded per-function bit boundaries for random access: bodies can
-decode on worker threads (``jobs=N``) or lazily on first touch
-(:mod:`repro.loader.lazy`).  Every decode retains the intrinsic
-safety-by-construction checks, so a stale or tampered cache entry can
-cause a ``DecodeError`` or a silent fall back to the cold path, never
-an unsound module.
+decode lazily on first touch (:mod:`repro.loader.lazy`).  Every decode
+retains the intrinsic safety-by-construction checks, so a stale or
+tampered cache entry can cause a ``DecodeError`` or a silent fall back
+to the cold path, never an unsound module.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Optional
 
 from repro.cache import VerifiedModuleCache, default_module_cache
-from repro.encode.bitio import BitIOError, BitReader
+from repro.encode.bitio import BitIOError
 from repro.encode.deserializer import DecodeError, _ModuleDecoder
 from repro.ssa.ir import Function, Module
 from repro.tsa.verifier import _FunctionVerifier
@@ -132,16 +129,6 @@ def residual_verify(module: Module, contexts) -> None:
         _ResidualChecker(module, function, domtree, dispatch_of).verify()
 
 
-def _worker_count(jobs: Optional[int], function_count: int) -> int:
-    """Same convention as ``CompilationSession``: None/1 serial, 0 one
-    worker per CPU, otherwise capped at the number of bodies."""
-    if jobs is None or jobs == 1 or function_count <= 1:
-        return 1
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
-    return max(1, min(jobs, function_count))
-
-
 def _plausible(boundaries: Boundaries, bodies, start_bit: int,
                stream_bits: int) -> bool:
     """Cheap shape validation of a cached boundary index: one entry
@@ -167,8 +154,8 @@ class ModuleLoader:
     instead.
     """
 
-    def __init__(self, data: bytes, *, lazy: bool = False,
-                 jobs: Optional[int] = None, cache=None, store=None):
+    def __init__(self, data: bytes, *, lazy: bool = False, cache=None,
+                 store=None):
         from repro.encode.format import resolve_stream
         #: the distribution unit as delivered (possibly a v2 envelope)
         self.raw = data
@@ -176,7 +163,6 @@ class ModuleLoader:
         #: resolution rejects here, before any decode state exists
         self.data = resolve_stream(data, store)
         self.lazy = lazy
-        self.jobs = jobs
         if cache is None:
             cache = default_module_cache()
         elif cache is False:
@@ -225,19 +211,10 @@ class ModuleLoader:
                 if not _plausible(boundaries, bodies, header_end,
                                   len(self.data) * 8):
                     return None
-                jobs = _worker_count(self.jobs, len(bodies))
-                if jobs > 1:
-                    for function in _decode_bodies_parallel(
-                            decoder, bodies, boundaries, jobs):
-                        decoder.module.add_function(function)
-                    end = boundaries[-1][1] if boundaries else header_end
-                    decoder.reader = BitReader(self.data, start_bit=end)
-                    decoder._require_end()
-                else:
-                    decoder._decode_bodies(bodies)
-                    if decoder.boundaries != boundaries:
-                        return None
-                    decoder._require_end()
+                decoder._decode_bodies(bodies)
+                if decoder.boundaries != boundaries:
+                    return None
+                decoder._require_end()
         except DecodeError:
             # the digest matched, so the bytes decoded cleanly once: a
             # failure now means the cached index is bad.  The cold path
@@ -248,43 +225,19 @@ class ModuleLoader:
         return decoder.module
 
 
-def _decode_bodies_parallel(decoder: FusedDecoder, bodies,
-                            boundaries: Boundaries,
-                            jobs: int) -> list[Function]:
-    """Decode each body from its recorded bit boundary on a worker
-    thread.  The header (world, type table) is fully built and
-    read-only by now; instruction/block ids are allocated from atomic
-    counters and re-encoded bytes never depend on their raw values, so
-    the result is bit-identical to a serial decode."""
-    def decode_one(index: int) -> Function:
-        start, end = boundaries[index]
-        reader = BitReader(decoder.data, start_bit=start)
-        function = decoder._function_decoder(bodies[index], reader).decode()
-        if reader.bit_position() != end:
-            raise DecodeError("cached body boundary mismatch",
-                              "DEC-MALFORMED")
-        return function
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(decode_one, range(len(bodies))))
-
-
-def load_module(data: bytes, *, lazy: bool = False,
-                jobs: Optional[int] = None, cache=None,
+def load_module(data: bytes, *, lazy: bool = False, cache=None,
                 store=None) -> Module:
     """Load (and thereby verify) a SafeTSA distribution unit.
 
     ``lazy=True`` decodes the header eagerly and each function body on
-    first touch.  ``jobs`` fans body decoding out over N threads (0 =
-    one per CPU) on warm loads; a cold load is sequential by format
-    necessity (no length prefixes) and ignores it.  ``cache`` is a
+    first touch.  ``cache`` is a
     :class:`repro.cache.VerifiedModuleCache`, ``None`` for the
     environment default, or ``False`` to disable caching.  ``store``
     is the :class:`repro.cache.DictionaryStore` used to resolve v2
     envelopes (``None`` for the environment default); v1 streams never
     touch it.
     """
-    module = ModuleLoader(data, lazy=lazy, jobs=jobs, cache=cache,
+    module = ModuleLoader(data, lazy=lazy, cache=cache,
                           store=store).load()
     # the distribution unit's content address; the trace cache keys
     # compiled hot paths on it so warm processes skip re-recording

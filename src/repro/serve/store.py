@@ -12,18 +12,17 @@ longer hashes to its name is treated as absent, never served.
 On disk the store shards by the first two hex characters
 (``<root>/ab/<digest>.stsa``), the standard fan-out that keeps any one
 directory's entry count ~1/256th of the population -- directory scans
-stay cheap at millions of modules.  Writes are atomic (temp file +
-``os.replace``), so a concurrent reader sees the old blob, the new
-blob, or a miss -- never a partial file.
+stay cheap at millions of modules.  Writes are atomic
+(:class:`~repro.cache.ContentStore`), so a concurrent reader sees the
+old blob, the new blob, or a miss -- never a partial file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
-from pathlib import Path
 from typing import Optional
+
+from repro.cache import ContentStore
 
 _DIGEST_HEX = 64
 
@@ -40,69 +39,41 @@ def is_digest(text: str) -> bool:
             and all(c in "0123456789abcdef" for c in text))
 
 
-class ModuleStore:
+class ModuleStore(ContentStore):
     """Maps wire digests to distribution bytes, sharded on disk."""
 
     def __init__(self, root: Optional[str] = None):
-        self._memory: dict[str, bytes] = {}
-        self._root = Path(root) if root else None
-        self.puts = 0
-        self.gets = 0
+        super().__init__(".stsa", root, shard=True)
 
-    def _shard_path(self, digest: str) -> Path:
-        assert self._root is not None
-        return self._root / digest[:2] / f"{digest}.stsa"
+    def _decode(self, key: str, data: bytes) -> Optional[bytes]:
+        # damaged shard: absent, never wrong
+        return data if wire_digest(data) == key else None
 
     def put(self, wire: bytes) -> str:
         """Store ``wire``; returns its digest.  Idempotent -- storing
         the same bytes twice is one entry (and one disk write)."""
         digest = wire_digest(wire)
-        if digest in self._memory:
-            return digest
-        self._memory[digest] = bytes(wire)
-        self.puts += 1
-        if self._root is not None:
-            path = self._shard_path(digest)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, temp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(wire)
-                os.replace(temp, path)
-            except BaseException:
-                try:
-                    os.unlink(temp)
-                except OSError:
-                    pass
-                raise
+        if digest not in self._memory:
+            super().put(digest, bytes(wire))
         return digest
 
     def get(self, digest: str) -> Optional[bytes]:
-        self.gets += 1
-        wire = self._memory.get(digest)
-        if wire is None and self._root is not None and is_digest(digest):
-            path = self._shard_path(digest)
-            if path.is_file():
-                wire = path.read_bytes()
-                if wire_digest(wire) != digest:
-                    return None  # damaged shard: absent, never wrong
-                self._memory[digest] = wire
-        return wire
+        if not is_digest(digest):
+            self.misses += 1  # never let a malformed key become a path
+            return None
+        return super().get(digest)
 
     def __contains__(self, digest: str) -> bool:
         return self.get(digest) is not None
 
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    def __bool__(self) -> bool:
-        return True  # an empty store is still an enabled store
+    @property
+    def gets(self) -> int:
+        return self.hits + self.misses
 
     def total_bytes(self) -> int:
         """Bytes held in memory (the serving working set)."""
         return sum(len(wire) for wire in self._memory.values())
 
     def stats(self) -> dict:
-        return {"entries": len(self._memory),
-                "bytes": self.total_bytes(),
+        return {"entries": len(self), "bytes": self.total_bytes(),
                 "puts": self.puts, "gets": self.gets}

@@ -1,12 +1,10 @@
 """The unified compile path: CompilationSession, PassManager,
-AnalysisManager, pipeline-spec grammar, cache-key coverage, and the
-parallel-vs-serial determinism guarantee."""
+AnalysisManager, pipeline-spec grammar, cache-key coverage, and
+rebuild determinism."""
 
 import pytest
-from hypothesis import given, settings
 
 from repro.analysis.manager import AnalysisManager
-from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.cache import CompilationCache
 from repro.driver import (
     ALL_PASSES,
@@ -26,12 +24,7 @@ from repro.pipeline import (
     compile_to_module,
     pipeline_cache_key,
 )
-from repro.fuzz.gen import program_strategy
 
-
-def program():
-    """Source-text strategy over the shared fuzz grammar."""
-    return program_strategy().map(lambda generated: generated.source)
 
 SOURCE = """
 class Main {
@@ -264,46 +257,7 @@ class TestCompilationSession:
         assert module.instruction_count() == full.instruction_count()
 
 
-def _session_artifacts(source, jobs):
-    """(encoded bytes, deterministic report dicts) for one compile."""
-    session = CompilationSession(optimize=True, cache=False, jobs=jobs)
-    module = session.build_module(source)
-    session.optimize(module)
-    wire = session.encode(module)
-    return wire, [r.as_dict(seconds=False) for r in session.reports]
-
-
-class TestParallelDeterminism:
-    @pytest.mark.parametrize("name", CORPUS_PROGRAMS)
-    def test_corpus_parallel_equals_serial(self, name):
-        source = corpus_source(name)
-        serial_wire, serial_reports = _session_artifacts(source, jobs=1)
-        parallel_wire, parallel_reports = _session_artifacts(source,
-                                                             jobs=4)
-        assert parallel_wire == serial_wire
-        assert parallel_reports == serial_reports
-
-    @pytest.mark.parametrize("name", CORPUS_PROGRAMS)
-    def test_corpus_plain_form_stable_too(self, name):
-        # the transmitted unoptimized form has no passes to fan out,
-        # but must still be byte-stable across session configurations
-        source = corpus_source(name)
-        serial = CompilationSession(prune_phis=False, cache=False,
-                                    jobs=1)
-        parallel = CompilationSession(prune_phis=False, cache=False,
-                                      jobs=4)
-        assert serial.encode(serial.compile(source)) \
-            == parallel.encode(parallel.compile(source))
-
-    @settings(max_examples=15, deadline=None)
-    @given(source=program())
-    def test_random_programs_parallel_equals_serial(self, source):
-        serial_wire, serial_reports = _session_artifacts(source, jobs=1)
-        parallel_wire, parallel_reports = _session_artifacts(source,
-                                                             jobs=3)
-        assert parallel_wire == serial_wire
-        assert parallel_reports == serial_reports
-
+class TestRebuildDeterminism:
     def test_rebuild_is_bit_identical_under_heap_churn(self):
         # Regression: SSA construction memoized assigned-variable sets
         # by id(node); do-while/for lowering builds throwaway synthetic
@@ -321,9 +275,8 @@ class TestParallelDeterminism:
 
         source = 'class Shape {\n    int tag;\n    int weigh(int x) { return ((tag <= tag) ? x : x); }\n}\nclass Ring extends Shape {\n    int weigh(int x) { return (tag % (x | 1)); }\n}\nclass Main {\n    static int h(int x) {\n        int a = x; int b = x - 1; int c = 7;\n        return ((-20 - a) | a);\n    }\n    static void main() {\n        int a = -96;\n        int b = 82;\n        int c = 78;\n        int[] arr = new int[8];\n        for (int f0 = 0; f0 < 8; f0++) {\n            arr[f0] = f0 * 5 + 3;\n        }\n        Shape s = new Shape();\n        s.tag = -12;\n        switch (a & 3) { case 0: a = 1; case 1: a = 2; break; case 2: arr[(1 & 7)] = -57; break; default: a = 15; }\n        { int d1 = 2; do { d1 = d1 - 1; for (int lo2 = 0; lo2 < 4; lo2++) { for (int ln3 = 0; ln3 < arr.length; ln3++) { c = c + arr[lo2 & 7]; } arr[lo2 & 7] = c; } } while (d1 > 0); }\n        c = (-83 % ((a * ((c > 0) ? b : a)) | 1));\n        for (int lo4 = 0; lo4 < 3; lo4++) { for (int ln5 = 0; ln5 < arr.length; ln5++) { b = b + arr[lo4 & 7]; } arr[lo4 & 7] = b; }\n        int sum = 0;\n        for (int f1 = 0; f1 < 8; f1++) { sum += arr[f1]; }\n        System.out.println(a + " " + b + " " + c + " " + sum\n                           + " " + s.weigh(a) + " " + s.tag);\n    }\n}\n'
 
-        def build(jobs=None):
-            session = CompilationSession(optimize=True, cache=False,
-                                         jobs=jobs)
+        def build():
+            session = CompilationSession(optimize=True, cache=False)
             module = session.build_module(source)
             session.optimize(module)
             return session.encode(module)
@@ -342,7 +295,7 @@ class TestParallelDeterminism:
             if trial % 5 == 4:
                 junk.clear()
                 gc.collect()
-            assert build(jobs=2 if trial % 2 else None) == reference, \
+            assert build() == reference, \
                 f"rebuild diverged at trial {trial}"
 
 

@@ -131,10 +131,6 @@ class TestHonestArtifacts:
             assert encode_module(warm.load()) == wire, context
             assert warm.cache_hit and not warm.verified, context
 
-            parallel = ModuleLoader(wire, cache=cache, jobs=4)
-            assert encode_module(parallel.load()) == wire, context
-            assert parallel.cache_hit, context
-
             lazy = load_module(wire, lazy=True, cache=cache)
             assert encode_module(lazy) == wire, context
 
@@ -469,22 +465,6 @@ class TestLazyLoading:
         module = load_module(wire, lazy=True, cache=False)
         result = Interpreter(module).run_main()
         assert result.stdout == "42\n"
-
-
-# ======================================================================
-# parallel warm decode
-
-
-class TestParallelDecode:
-    def test_jobs_match_serial(self, corpus_wires, tmp_path):
-        cache = VerifiedModuleCache(str(tmp_path))
-        wire = corpus_wires[("BigInt", True)]
-        load_module(wire, cache=cache)  # publish the index
-        for jobs in (1, 2, 4, 0):
-            loader = ModuleLoader(wire, cache=cache, jobs=jobs)
-            module = loader.load()
-            assert loader.cache_hit, f"jobs={jobs}"
-            assert encode_module(module) == wire, f"jobs={jobs}"
 
 
 # ======================================================================

@@ -282,6 +282,24 @@ class TestEndpoints:
         assert stats["log"]["entries"] == 1
         assert stats["store"]["entries"] == 1
 
+    def test_stats_keys_and_module_cache_counts(self, serve_client):
+        # the perf ledger reads these keys, and derives the server's
+        # verified-module hit rate from module_cache hits/misses
+        before = serve_client.stats()
+        assert set(before["store"]) == {"entries", "bytes", "puts", "gets"}
+        cache_keys = {"hits", "misses", "hit_rate", "entries"}
+        assert set(before["compile_cache"]) == cache_keys
+        assert set(before["module_cache"]) == cache_keys
+        wire = _wire(SOURCE_PRINT, optimize=True)
+        counts = [before["module_cache"]]
+        for _ in range(2):
+            serve_client.verify(wire=wire)
+            counts.append(serve_client.stats()["module_cache"])
+        moves = [(after["misses"] - earlier["misses"],
+                  after["hits"] - earlier["hits"])
+                 for earlier, after in zip(counts, counts[1:])]
+        assert moves == [(1, 0), (0, 1)]
+
 
 class TestCoalescing:
     def test_identical_concurrent_compiles_are_bit_identical(
