@@ -5,10 +5,10 @@ PYTHON ?= python3
 # Targets work from a bare checkout too (no editable install needed).
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-unit test-campaign bench bench-smoke bench-analysis \
-	bench-pipeline bench-load bench-loops bench-wire bench-serve \
-	bench-trace fuzz-smoke serve-smoke lint-corpus tables examples \
-	all clean
+.PHONY: test test-unit test-campaign test-benchmarks bench bench-smoke \
+	bench-analysis bench-pipeline bench-load bench-loops bench-wire \
+	bench-serve bench-trace fuzz-smoke serve-smoke lint-corpus tables \
+	examples all clean
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -22,6 +22,11 @@ test-unit:
 # sweeps. test-unit + test-campaign together cover the full suite.
 test-campaign:
 	$(PYTHON) -m pytest tests/ -q -m slow
+
+# The paper-claim suite (Figure 5/6 shapes, the E-series ablations)
+# with timing off: every assertion runs once; CI's test job runs it.
+test-benchmarks:
+	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
@@ -48,7 +53,8 @@ bench-load:
 
 # Loop-tier benchmark: dynamic check counts per pipeline over the
 # loop-heavy corpus; writes BENCH_loops.json and fails unless the loop
-# tier (hoist_checks,licm) strictly reduces executed checks.
+# tier (hoist_checks,licm) strictly reduces executed checks, alone and
+# on top of the default pipeline.
 bench-loops:
 	$(PYTHON) -m repro.bench.runner loops --smoke
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 def compile_source(source: str, *, optimize: bool = False,
                    passes=None, prune_phis: bool = True,
-                   filename: str = "<source>"):
+                   filename: str = "<source>", cache=None):
     """Compile MiniJava++ source text to a SafeTSA :class:`~repro.tsa.module.Module`.
 
     ``optimize`` runs the paper's producer-side pipeline (constant
@@ -23,17 +23,26 @@ def compile_source(source: str, *, optimize: bool = False,
     (see :func:`repro.driver.passes.parse_pass_spec`).  ``prune_phis``
     applies Briggs-style dead-phi pruning during SSA construction
     (Section 7 reports ~31% fewer phis).
+
+    ``cache`` is an optional :class:`repro.cache.CompilationCache`
+    (``None`` uses the process-wide default, ``False`` forces a cold
+    compile).  On a hit the producer pipeline is skipped and the cached
+    wire bytes go through the fused verifying loader instead.  Hold a
+    :class:`~repro.driver.session.CompilationSession` for pass reports,
+    stage timing, or one front end shared by several outputs.
     """
-    from repro.pipeline import compile_to_module
-    return compile_to_module(source, optimize=optimize, passes=passes,
-                             prune_phis=prune_phis, filename=filename)
+    from repro.driver.session import CompilationSession
+    return CompilationSession(
+        optimize=optimize, passes=passes, prune_phis=prune_phis,
+        filename=filename, cache=cache).compile(source)
 
 
 def compile_to_bytecode(source: str, *, filename: str = "<source>"):
     """Compile MiniJava++ source to the Java-bytecode baseline
     (:class:`~repro.jvm.classfile.ClassFileSet`)."""
-    from repro.pipeline import compile_to_classfiles
-    return compile_to_classfiles(source, filename=filename)
+    from repro.driver.session import CompilationSession
+    return CompilationSession(filename=filename, cache=False) \
+        .compile_to_classfiles(source)
 
 
 def encode_module(module, *, format_version: str = "stsa1",

@@ -16,8 +16,8 @@ import os
 
 from repro.analysis.diagnostics import count_by_severity
 from repro.analysis.lint import lint_module
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
-from repro.pipeline import compile_to_module
 from repro.tsa.verifier import verify_module
 
 
@@ -56,8 +56,8 @@ def analysis_report(programs=None, repeats=None, cache=None) -> dict:
     for name in programs:
         source = corpus_source(name)
         for variant, optimize in (("plain", False), ("optimized", True)):
-            module = compile_to_module(source, optimize=optimize,
-                                       cache=cache)
+            module = compile_source(source, optimize=optimize,
+                                    cache=cache)
             artifacts.append(_artifact_report(name, variant, module,
                                               repeats, best_of))
     totals = {

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from time import perf_counter
 
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.encode._bitio_reference import (
     ReferenceBitReader,
     ReferenceBitWriter,
 )
 from repro.encode.bitio import BitReader, BitWriter
-from repro.pipeline import compile_to_module
 
 #: (writer method, reader method) per trace-op tag.
 _OPS = {
@@ -78,10 +78,10 @@ def capture_corpus_trace(programs=None):
     modules = []
     for name in (programs or CORPUS_PROGRAMS):
         source = corpus_source(name)
-        modules.append(compile_to_module(source, prune_phis=False,
-                                         cache=False))
-        modules.append(compile_to_module(source, optimize=True,
-                                         cache=False))
+        modules.append(compile_source(source, prune_phis=False,
+                                      cache=False))
+        modules.append(compile_source(source, optimize=True,
+                                      cache=False))
     tracer = _tracing_writer(ops)
     original = serializer.BitWriter
     serializer.BitWriter = tracer

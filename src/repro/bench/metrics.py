@@ -16,13 +16,14 @@ import concurrent.futures
 import os
 from typing import Optional
 
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
+from repro.driver.session import CompilationSession
 from repro.encode.serializer import encode_module
 from repro.frontend.parser import parse_compilation_unit
 from repro.frontend.semantics import analyze
 from repro.jvm.classfile import class_file_bytes
 from repro.jvm.codegen import compile_unit
-from repro.pipeline import compile_to_module, pipeline_cache_key
 from repro.ssa.ir import Module
 from repro.uast.builder import UastBuilder
 
@@ -123,8 +124,8 @@ def measure_program(program: str, source: Optional[str] = None, *,
 
     # the unoptimised transmitted form keeps the eager (B&M) phis;
     # pruning is part of the producer-side optimisation (Figure 6)
-    plain = compile_to_module(source, prune_phis=False, cache=cache)
-    optimized = compile_to_module(source, optimize=True, cache=cache)
+    plain = compile_source(source, prune_phis=False, cache=cache)
+    optimized = compile_source(source, optimize=True, cache=cache)
     plain_sizes = _tsa_sizes(plain)
     opt_sizes = _tsa_sizes(optimized)
 
@@ -154,7 +155,7 @@ def measure_program(program: str, source: Optional[str] = None, *,
 def _compile_wire_job(job) -> bytes:
     """Worker: one cold compile, returned as picklable wire bytes."""
     source, flags = job
-    return encode_module(compile_to_module(source, cache=False, **flags))
+    return encode_module(compile_source(source, cache=False, **flags))
 
 
 def warm_cache(cache, jobs, max_workers: Optional[int] = None) -> int:
@@ -167,17 +168,19 @@ def warm_cache(cache, jobs, max_workers: Optional[int] = None) -> int:
     thread pool where subprocesses are unavailable (restricted
     sandboxes), which still overlaps the small I/O fraction.
     """
-    pending = [(source, flags) for source, flags in jobs
-               if cache.get(pipeline_cache_key(cache, source, **flags))
-               is None]
+    keys, pending = [], []
+    for source, flags in jobs:
+        key = CompilationSession(cache=cache, **flags).cache_key(source)
+        if cache.get(key) is None:
+            keys.append(key)
+            pending.append((source, flags))
     if not pending:
         return 0
     if max_workers == 1 or (max_workers is None
                             and (os.cpu_count() or 1) == 1):
         # no parallelism to exploit: skip the worker-process overhead
-        for source, flags in pending:
-            cache.put(pipeline_cache_key(cache, source, **flags),
-                      _compile_wire_job((source, flags)))
+        for key, job in zip(keys, pending):
+            cache.put(key, _compile_wire_job(job))
         return len(pending)
     try:
         executor = concurrent.futures.ProcessPoolExecutor(max_workers)
@@ -185,17 +188,15 @@ def warm_cache(cache, jobs, max_workers: Optional[int] = None) -> int:
         executor = concurrent.futures.ThreadPoolExecutor(max_workers)
     try:
         with executor:
-            for (source, flags), wire in zip(
-                    pending, executor.map(_compile_wire_job, pending)):
-                cache.put(pipeline_cache_key(cache, source, **flags),
-                          wire)
+            for key, wire in zip(
+                    keys, executor.map(_compile_wire_job, pending)):
+                cache.put(key, wire)
     except concurrent.futures.process.BrokenProcessPool:
         # e.g. fork blocked after executor creation: degrade to threads
         with concurrent.futures.ThreadPoolExecutor(max_workers) as pool:
-            for (source, flags), wire in zip(
-                    pending, pool.map(_compile_wire_job, pending)):
-                cache.put(pipeline_cache_key(cache, source, **flags),
-                          wire)
+            for key, wire in zip(
+                    keys, pool.map(_compile_wire_job, pending)):
+                cache.put(key, wire)
     return len(pending)
 
 

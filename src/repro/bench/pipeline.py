@@ -1,29 +1,25 @@
 """Pass-pipeline benchmark: analysis-cache reuse, per-pass timing, and
-the parallel fan-out (``BENCH_pipeline.json``).
+the process-pool fan-out (``BENCH_pipeline.json``).
 
 Three questions, answered over the full corpus workload (every
 transmitted artifact is built, verified, optimised, re-verified, and
 encoded; the optimised form also produces the bytecode baseline the
 Figure 5 comparison needs):
 
-1. **What do the shared front end and shared analyses buy?**  The
-   ``serial`` baseline is the pre-driver path: ``compile_to_module`` +
-   ``verify_module`` + ``optimize_module`` + ``encode_module`` +
-   ``compile_to_classfiles``, each consumer re-running its own solvers
-   (CSE its own dominator tree, DCE its own observability closure, the
-   verifier and the encoder theirs again) and the bytecode baseline
-   re-parsing the source.  The ``session`` path runs the same workload
-   through one :class:`~repro.driver.session.CompilationSession` per
-   artifact: every consumer hits the shared :class:`~repro.analysis.
-   manager.AnalysisManager`, and the baseline reuses the memoized
-   front end.
+1. **What do the shared analyses cost and buy?**  The ``session`` lane
+   runs the workload through one
+   :class:`~repro.driver.session.CompilationSession` per artifact:
+   every consumer (CSE, DCE, the verifier, the encoder's layout) hits
+   the shared :class:`~repro.analysis.manager.AnalysisManager`, and the
+   bytecode baseline reuses the memoized front end.  The report counts
+   consumers per computed analysis and the per-pass seconds.
 
 2. **What does the fan-out buy?**  ``parallel`` distributes the
    session workload across a process pool at artifact granularity
    (the ``warm_cache`` pattern: compilation is pure CPU, wire bytes are
-   the picklable result).  On a single-CPU host the pool is skipped and
-   ``workers`` honestly reports 1 -- the speedup there is all analysis
-   sharing; on multi-core CI both effects compound.
+   the picklable result) and is reported against ``session``.  On a
+   single-CPU host the pool is skipped and ``workers`` honestly reports
+   1.
 
 3. **Is the fan-out safe?**  For every corpus artifact the process
    pool must produce bit-identical encoded bytes to the in-process
@@ -57,8 +53,7 @@ def _run_session_workload(label_source_flags):
     """Worker: one artifact's full producer workload through a session:
     build, verify, optimise, re-verify, encode -- plus, for the
     optimised form, the bytecode baseline Figure 5 compares against
-    (sharing the session's memoized front end, where the legacy path
-    parses a second time).
+    (sharing the session's memoized front end).
 
     Returns (label, wire bytes, session pass-report) -- everything
     picklable, so this runs under a process pool too.
@@ -73,27 +68,6 @@ def _run_session_workload(label_source_flags):
     if flags.get("optimize"):
         session.compile_to_classfiles(source)
     return label, wire, session.pass_report()
-
-
-def _run_legacy_workload(label_source_flags):
-    """The same workload through the pre-driver entry points, every
-    consumer computing its own analyses."""
-    from repro.encode.serializer import encode_module
-    from repro.opt.pipeline import optimize_module
-    from repro.pipeline import compile_to_classfiles, compile_to_module
-    from repro.tsa.verifier import verify_module
-    label, source, flags = label_source_flags
-    module = compile_to_module(
-        source, cache=False,
-        prune_phis=flags.get("prune_phis", True))
-    verify_module(module)
-    if flags.get("optimize"):
-        optimize_module(module)
-    verify_module(module)
-    wire = encode_module(module)
-    if flags.get("optimize"):
-        compile_to_classfiles(source)  # separate parse: no shared front end
-    return label, wire
 
 
 def _pool_map(fn, items, max_workers):
@@ -126,29 +100,19 @@ def pipeline_report(programs=None, repeats=None,
                     "repeats": repeats,
                     "cpus": cpus}
 
-    # 1+2. serial baseline (pre-driver path, per-consumer analyses) vs
-    # the session path (shared AnalysisManager).  The rounds interleave
-    # so slow clock drift (thermal, noisy neighbours) hits both sides
-    # equally; each side keeps its best round.
-    def serial_round() -> None:
-        for item in artifacts:
-            _run_legacy_workload(item)
-
+    # 1. the session path (shared AnalysisManager and front end); the
+    # first round is warmup, the best of the timed rounds is kept
     def session_round() -> list:
         return [_run_session_workload(item) for item in artifacts]
 
-    serial_round()  # warmup
     session_runs = session_round()
-    serial_s = session_s = float("inf")
+    session_s = float("inf")
     for _ in range(max(repeats, 1)):
-        start = time.perf_counter()
-        serial_round()
-        serial_s = min(serial_s, time.perf_counter() - start)
         start = time.perf_counter()
         session_runs = session_round()
         session_s = min(session_s, time.perf_counter() - start)
 
-    # 3. parallel: the session workload fanned across a process pool at
+    # 2. parallel: the session workload fanned across a process pool at
     # artifact granularity (a single CPU has nothing to fan out to, so
     # the pool is skipped and the honest worker count is 1)
     if workers <= 1 or cpus == 1:
@@ -162,11 +126,11 @@ def pipeline_report(programs=None, repeats=None,
                                   workers)
         parallel_s = time.perf_counter() - start
 
-    # 4. determinism: the process pool vs the in-process session
+    # 3. determinism: the process pool vs the in-process session
     mismatched = [label for (label, wire, _), (_, pool_wire, _)
                   in zip(session_runs, parallel_runs) if pool_wire != wire]
 
-    # 5. analysis-cache accounting + per-pass seconds, aggregated over
+    # 4. analysis-cache accounting + per-pass seconds, aggregated over
     # the corpus (one timed run's worth of sessions)
     cache_totals = {"computed": 0, "hits": 0, "invalidations": 0}
     per_analysis: dict = {}
@@ -185,11 +149,6 @@ def pipeline_report(programs=None, repeats=None,
     computed = cache_totals["computed"]
     hits = cache_totals["hits"]
 
-    report["serial"] = {
-        "seconds": round(serial_s, 4),
-        "mode": "legacy entry points; every consumer re-runs its "
-                "solvers, bytecode baseline re-parses",
-    }
     report["session"] = {
         "seconds": round(session_s, 4),
         "mode": "CompilationSession: shared AnalysisManager and "
@@ -200,10 +159,8 @@ def pipeline_report(programs=None, repeats=None,
         "workers": pool_workers,
         "mode": "session workload across a process pool per artifact",
     }
-    report["parallel_speedup_vs_serial"] = \
-        round(serial_s / parallel_s, 3) if parallel_s else None
-    report["session_speedup_vs_serial"] = \
-        round(serial_s / session_s, 3) if session_s else None
+    report["parallel_speedup_vs_session"] = \
+        round(session_s / parallel_s, 3) if parallel_s else None
     report["determinism"] = {
         "artifacts": len(artifacts),
         "pool_identical_bytes": not mismatched,

@@ -38,8 +38,8 @@ import math
 import time
 from typing import Optional
 
+from repro.api import compile_source
 from repro.bench.corpus import corpus_source
-from repro.bench.loops import LOOP_PROGRAMS
 from repro.cache import TraceCache
 from repro.fuzz.oracle import PureInterpreter
 from repro.interp.interpreter import (
@@ -49,7 +49,6 @@ from repro.interp.interpreter import (
 )
 from repro.interp.trace import TracingInterpreter
 from repro.loader import load_module
-from repro.pipeline import compile_to_module
 
 _MAX_STEPS = 80_000_000
 
@@ -57,6 +56,9 @@ _MAX_STEPS = 80_000_000
 #: (module walk, plan building, trace preload) amortise the way they
 #: do in a warm serving process
 _REPS = {"Linpack": 1, "BitSieve": 1, "MiniVM": 20}
+
+#: the hot-loop programs the trace tier is measured on
+TRACE_PROGRAMS = tuple(_REPS)
 
 #: hot loop with a branch driven by a linear congruential generator:
 #: there is no short repeating block cycle, so every recorded trace
@@ -198,7 +200,7 @@ def _digest_module(source: str):
     """Compile and round-trip through the wire so the module carries a
     ``wire_digest`` -- the trace cache key (matching the serve path)."""
     from repro.encode.serializer import encode_module
-    wire = encode_module(compile_to_module(source))
+    wire = encode_module(compile_source(source))
     return load_module(wire, cache=False)
 
 
@@ -254,7 +256,7 @@ def trace_report(programs=None, *, reps=None,
                  dispatch_program: str = "MiniVM",
                  dispatch_reps: int = 10,
                  abort_reps: int = 3) -> dict:
-    programs = tuple(programs) if programs is not None else LOOP_PROGRAMS
+    programs = tuple(programs) if programs is not None else TRACE_PROGRAMS
     per_program: dict[str, dict] = {}
     speedups = []
     for name in programs:

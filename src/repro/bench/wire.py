@@ -36,6 +36,7 @@ from __future__ import annotations
 import os
 import time
 
+from repro.api import compile_source
 from repro.bench.corpus import CORPUS_PROGRAMS, corpus_source
 from repro.cache import DictionaryStore
 from repro.encode.deserializer import decode_module
@@ -48,7 +49,6 @@ from repro.encode.format import (
 )
 from repro.encode.serializer import encode_module
 from repro.loader import StreamingLoader, load_module
-from repro.pipeline import compile_to_module
 from repro.tsa.verifier import verify_module
 
 #: chunk size for the streaming TTFE measurement -- small enough that
@@ -77,8 +77,8 @@ def _pairs(programs) -> list[tuple[str, bytes, bytes]]:
     pairs = []
     for name in programs:
         source = corpus_source(name)
-        plain = compile_to_module(source, cache=False)
-        optimized = compile_to_module(source, optimize=True, cache=False)
+        plain = compile_source(source, cache=False)
+        optimized = compile_source(source, optimize=True, cache=False)
         pairs.append((name, encode_module(plain),
                       encode_module(optimized)))
     return pairs

@@ -39,16 +39,16 @@ from pathlib import Path
 
 def _load_module(path: str, optimize: bool, prune: bool = True,
                  passes=None, lazy: bool = False):
+    from repro.driver import CompilationSession
     from repro.loader import load_module
-    from repro.pipeline import compile_to_module
     data = Path(path).read_bytes()
     if path.endswith((".stsa", ".bin")):
         # the fused verifying loader: one decode pass plus the residual
         # sweep, warm loads via the verified-module cache
         return load_module(data, lazy=lazy)
-    return compile_to_module(data.decode("utf-8"), optimize=optimize,
-                             prune_phis=prune, filename=path,
-                             passes=passes)
+    session = CompilationSession(optimize=optimize, passes=passes,
+                                 prune_phis=prune, filename=path)
+    return session.compile(data.decode("utf-8"))
 
 
 def cmd_compile(args) -> int:

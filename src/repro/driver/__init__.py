@@ -1,7 +1,8 @@
 """The unified compile path: session, pass manager, analysis cache.
 
-``repro.driver`` is the home of the machinery every entry point now
-shares:
+``repro.driver`` is the machinery every entry point shares
+(:func:`repro.api.compile_source` is a one-shot session, the CLI, serve,
+the fuzz campaign and the benchmarks hold sessions themselves):
 
 * :class:`~repro.driver.session.CompilationSession` -- owns the front
   end, the compilation cache, stage timing, and diagnostics for one
@@ -14,9 +15,9 @@ shares:
   per-function cache of dataflow results, invalidated by each pass's
   ``preserves`` declaration.
 
-The legacy surfaces (:func:`repro.pipeline.compile_to_module`,
-:func:`repro.opt.pipeline.optimize_function`, ...) remain as thin
-wrappers over these classes.
+Passes over an already built module run through
+``PassManager(passes).run_module(module)``; its reports' ``stats`` and
+``passes`` are the per-function results.
 """
 
 from repro.analysis.manager import ANALYSES, AnalysisManager, \

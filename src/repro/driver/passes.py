@@ -30,10 +30,10 @@ is.  Passes always execute in canonical slot order regardless of the
 order written, so two spellings of the same pass set hash to the same
 compilation-cache key.
 
-Execution is routed through :data:`STEP_FUNCTIONS` so tests can
-monkeypatch a step (e.g. to inject a deliberately invariant-breaking
-pass and assert blame attribution); ``repro.opt.pipeline.PASS_FUNCTIONS``
-is the same dictionary object, kept as a compatibility alias.
+Execution is routed through :data:`STEP_FUNCTIONS`, looked up on every
+run, so tests can monkeypatch a step there (e.g. to inject a
+deliberately invariant-breaking pass and assert blame attribution) and
+every :class:`~repro.driver.manager.PassManager` picks it up.
 """
 
 from __future__ import annotations
@@ -165,7 +165,6 @@ def _step_cleanup(function) -> dict:
 
 #: pass name -> step callable; monkeypatchable so tests can inject a
 #: deliberately invariant-breaking pass and assert blame attribution.
-#: ``repro.opt.pipeline.PASS_FUNCTIONS`` aliases this very dictionary.
 STEP_FUNCTIONS = {
     "constprop": _step_constprop,
     "safephi": _step_safephi,

@@ -1,8 +1,9 @@
 """The compilation session: one front end, one pass manager, one
 analysis cache, one compilation cache -- every entry point goes here.
 
-A :class:`CompilationSession` owns the pieces the old pipeline module
-duplicated between ``compile_to_module`` and ``compile_to_classfiles``:
+A :class:`CompilationSession` owns every piece of the producer, shared
+by the SafeTSA path (:meth:`~CompilationSession.compile`) and the
+bytecode baseline (:meth:`~CompilationSession.compile_to_classfiles`):
 
 * the **front end** -- ``parse`` + semantic analysis are memoized per
   source text, so compiling the SafeTSA form and the bytecode baseline
@@ -13,8 +14,8 @@ duplicated between ``compile_to_module`` and ``compile_to_classfiles``:
 * the **analysis manager** -- nullness/range/liveness/dominator results
   computed once per function and shared by the optimizer, the verifier,
   the lint driver, and the encoder's register layout;
-* the **compilation cache** -- the key covers the *pass spec* (not just
-  the historical three booleans), so differently optimised artifacts
+* the **compilation cache** -- the key covers the canonical *pass
+  spec* and the phi-pruning flag, so differently optimised artifacts
   can never alias;
 * **stage timing** (``parse`` / ``ssa`` / ``opt``, ``load`` on a
   cache hit -- the fused-loader consumer path) and collected
@@ -40,13 +41,11 @@ class CompilationSession:
     """Owns one compilation configuration end to end."""
 
     def __init__(self, *, optimize: bool = False, passes: PassSpec = None,
-                 prune_phis: bool = True, eager_phis: bool = True,
-                 filename: str = "<source>", cache=None,
-                 check_after_each_pass: bool = False):
+                 prune_phis: bool = True, filename: str = "<source>",
+                 cache=None, check_after_each_pass: bool = False):
         #: resolved pass tuple; ``passes`` wins over ``optimize``
         self.passes: tuple[str, ...] = effective_passes(optimize, passes)
         self.prune_phis = prune_phis
-        self.eager_phis = eager_phis
         self.filename = filename
         self.pass_manager = PassManager(
             self.passes, check_after_each_pass=check_after_each_pass)
@@ -81,12 +80,11 @@ class CompilationSession:
     def cache_key(self, source: str) -> Optional[str]:
         """The compilation-cache key this session uses for ``source``,
         or None when caching is disabled.  The key covers the canonical
-        pass spec plus the SSA-construction flags."""
+        pass spec plus the phi-pruning flag."""
         if self._cache is None:
             return None
         return self._cache.key(source, passes=self.spec,
-                               prune_phis=self.prune_phis,
-                               eager_phis=self.eager_phis)
+                               prune_phis=self.prune_phis)
 
     # -- front end ------------------------------------------------------
 
@@ -113,23 +111,13 @@ class CompilationSession:
 
     def build_module(self, source: str):
         """Front end + UAST lowering + SSA construction (no passes)."""
-        from repro.ssa.construction import build_function
-        from repro.ssa.ir import Module
-        from repro.typesys.table import TypeTable
         from repro.uast.builder import UastBuilder
         unit, world = self.frontend(source)
         start = perf_counter()
-        table = TypeTable(world)
-        module = Module(world, table)
         uast_builder = UastBuilder(world)
-        for decl in unit.classes:
-            module.classes.append(decl.info)
-            table.declare_class(decl.info)
-            for umethod in uast_builder.build_class(decl):
-                function = build_function(world, decl.info, umethod,
-                                          eager_phis=self.eager_phis)
-                module.add_function(function)
-        _intern_used_types(module)
+        module = assemble_module(
+            world, ((decl.info, uast_builder.build_class(decl))
+                    for decl in unit.classes))
         if self.prune_phis:
             from repro.ssa.phi_pruning import prune_dead_phis
             for function in module.functions.values():
@@ -238,9 +226,32 @@ class CompilationSession:
         }
 
 
+def assemble_module(world, classes):
+    """Build an SSA module from lowered classes: one type table, each
+    class declared in order, one function per UAST method, then every
+    type an instruction references interned.
+
+    ``classes`` yields ``(ClassInfo, umethods)`` pairs; the source
+    pipeline and the programmatic :class:`repro.tsa.builder.ModuleBuilder`
+    both assemble through here.
+    """
+    from repro.ssa.construction import build_function
+    from repro.ssa.ir import Module
+    from repro.typesys.table import TypeTable
+    table = TypeTable(world)
+    module = Module(world, table)
+    for info, umethods in classes:
+        module.classes.append(info)
+        table.declare_class(info)
+        for umethod in umethods:
+            module.add_function(build_function(world, info, umethod))
+    _intern_used_types(module)
+    return module
+
+
 def _intern_used_types(module) -> None:
     """Make sure every type referenced by an instruction is in the table."""
-    from repro.typesys.types import ArrayType, Type
+    from repro.typesys.types import Type
     table = module.type_table
     for function in module.functions.values():
         for block in function.blocks:

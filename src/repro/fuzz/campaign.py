@@ -216,13 +216,13 @@ def program_seed(campaign_seed: int, index: int) -> int:
 def stream_bases() -> list[tuple[str, bytes]]:
     """The known-good wire streams a stream campaign mutates: every
     base program encoded both plain and optimised."""
+    from repro.api import compile_source
     from repro.encode.serializer import encode_module
-    from repro.pipeline import compile_to_module
     bases = []
     for name, source in BASE_PROGRAMS:
-        plain = compile_to_module(source, cache=False)
+        plain = compile_source(source, cache=False)
         bases.append((name, encode_module(plain)))
-        optimized = compile_to_module(source, optimize=True, cache=False)
+        optimized = compile_source(source, optimize=True, cache=False)
         bases.append((f"{name}+opt", encode_module(optimized)))
     return bases
 

@@ -32,12 +32,10 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Union
 
+from repro.driver.session import assemble_module
 from repro.frontend.ast import LocalVar
-from repro.pipeline import _intern_used_types
-from repro.ssa.construction import build_function
 from repro.ssa.ir import Module
 from repro.typesys.ops import lookup_op
-from repro.typesys.table import TypeTable
 from repro.typesys.types import (
     ArrayType,
     BOOLEAN,
@@ -86,18 +84,12 @@ class ModuleBuilder:
     def build(self, optimize: bool = False, verify: bool = True) -> Module:
         """Finalize: link the world, build SSA, optionally optimise."""
         self.world.link()
-        table = TypeTable(self.world)
-        module = Module(self.world, table)
-        for class_builder in self._classes:
-            module.classes.append(class_builder.info)
-            table.declare_class(class_builder.info)
-            for umethod in class_builder._finalize():
-                module.add_function(build_function(
-                    self.world, class_builder.info, umethod))
-        _intern_used_types(module)
+        module = assemble_module(
+            self.world, ((class_builder.info, class_builder._finalize())
+                         for class_builder in self._classes))
         if optimize:
-            from repro.opt.pipeline import optimize_module
-            optimize_module(module)
+            from repro.driver.manager import PassManager
+            PassManager().run_module(module)
         if verify:
             from repro.tsa.verifier import verify_module
             verify_module(module)

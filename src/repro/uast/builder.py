@@ -199,8 +199,14 @@ class UastBuilder:
 
     def _build_clinit(self, info: ClassInfo,
                       static_inits: list[ast.FieldDecl]) -> u.UMethod:
-        clinit = MethodInfo("<clinit>", [], VOID, is_static=True)
-        info.add_method(clinit)
+        # the ClassInfo outlives one lowering (a session lowers the same
+        # front-end result for the module and the bytecode baseline), so
+        # reuse the initializer an earlier lowering declared
+        clinit = next((m for m in info.methods if m.name == "<clinit>"),
+                      None)
+        if clinit is None:
+            clinit = info.add_method(
+                MethodInfo("<clinit>", [], VOID, is_static=True))
         self._reset(clinit, info)
         stmts: list[u.UStmt] = []
         for field_decl in static_inits:

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
+from repro.api import compile_source
 from repro.cache import (
     CompilationCache,
     DictionaryStore,
@@ -24,7 +25,6 @@ from repro.cache import (
     VerifiedModuleCache,
 )
 from repro.encode.deserializer import DecodeError
-from repro.pipeline import compile_to_module
 from repro.serve.store import ModuleStore
 
 WIRE = b"sample distribution bytes"
@@ -105,11 +105,11 @@ def test_damaged_trace_entry_is_a_miss(text, tmp_path):
 def test_damaged_compilation_entry_is_rejected_never_loaded(tmp_path):
     # bytes carry no checksum here: the verifying load is the check
     source = "class C { static int f() { return 41 + 1; } }"
-    compile_to_module(source, cache=CompilationCache(str(tmp_path)))
+    compile_source(source, cache=CompilationCache(str(tmp_path)))
     path, = tmp_path.glob("*.stsa")
     path.write_bytes(b"\x00garbage")
     with pytest.raises(DecodeError):
-        compile_to_module(source, cache=CompilationCache(str(tmp_path)))
+        compile_source(source, cache=CompilationCache(str(tmp_path)))
 
 
 @pytest.mark.parametrize("name", NAMESPACES)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import compile_source
 from repro.bench.codec import (
     capture_corpus_trace,
     check_read_values,
@@ -17,6 +18,7 @@ from repro.bench.codec import (
 )
 from repro.bench.corpus import corpus_source
 from repro.cache import CompilationCache
+from repro.driver import CompilationSession
 from repro.encode._bitio_reference import (
     ReferenceBitReader,
     ReferenceBitWriter,
@@ -24,7 +26,7 @@ from repro.encode._bitio_reference import (
 from repro.encode.bitio import BitIOError, BitReader, BitWriter
 from repro.encode.deserializer import DecodeError, decode_module
 from repro.encode.serializer import encode_module
-from repro.pipeline import compile_to_module, pipeline_cache_key
+from tests.conftest import cache_key
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "wire"
 MANIFEST = json.loads((GOLDEN_DIR / "MANIFEST.json").read_text())
@@ -39,10 +41,10 @@ class TestGoldenFixtures:
         program, form = fixture.rsplit(".", 1)
         source = corpus_source(program)
         if form == "plain":
-            module = compile_to_module(source, prune_phis=False,
-                                       cache=False)
+            module = compile_source(source, prune_phis=False,
+                                    cache=False)
         else:
-            module = compile_to_module(source, optimize=True, cache=False)
+            module = compile_source(source, optimize=True, cache=False)
         wire = encode_module(module)
         expected = MANIFEST[fixture]
         assert len(wire) == expected["bytes"]
@@ -194,7 +196,7 @@ class TestPaddingRejection:
     def test_deserializer_rejects_flipped_padding_bit(self):
         source = corpus_source("BitSieve")
         wire = bytearray(encode_module(
-            compile_to_module(source, cache=False)))
+            compile_source(source, cache=False)))
         # the final byte's least significant bit is padding unless the
         # stream happens to end byte-aligned; find a fixture where the
         # flip changes only padding by checking it still decodes the
@@ -293,68 +295,67 @@ class TestCompilationCache:
 
     def test_miss_then_hit(self):
         cache = CompilationCache()
-        key = pipeline_cache_key(cache, self.SOURCE)
+        key = cache_key(cache, self.SOURCE)
         assert cache.get(key) is None
-        module = compile_to_module(self.SOURCE, cache=cache)
+        module = compile_source(self.SOURCE, cache=cache)
         assert cache.get(key) == encode_module(module)
         assert cache.hits == 1 and cache.misses == 2
         assert 0 < cache.hit_rate < 1
 
     def test_hit_returns_equivalent_module(self):
         cache = CompilationCache()
-        cold = compile_to_module(self.SOURCE, optimize=True, cache=cache)
-        warm = compile_to_module(self.SOURCE, optimize=True, cache=cache)
+        cold = compile_source(self.SOURCE, optimize=True, cache=cache)
+        warm = compile_source(self.SOURCE, optimize=True, cache=cache)
         assert cache.hits == 1
         assert encode_module(warm) == encode_module(cold)
 
     def test_flags_partition_the_key_space(self):
         cache = CompilationCache()
         keys = {
-            pipeline_cache_key(cache, self.SOURCE),
-            pipeline_cache_key(cache, self.SOURCE, optimize=True),
-            pipeline_cache_key(cache, self.SOURCE, prune_phis=False),
-            pipeline_cache_key(cache, self.SOURCE + " "),
+            cache_key(cache, self.SOURCE),
+            cache_key(cache, self.SOURCE, optimize=True),
+            cache_key(cache, self.SOURCE, prune_phis=False),
+            cache_key(cache, self.SOURCE + " "),
         }
         assert len(keys) == 4
         # explicit defaults hash identically to omitted flags
-        assert pipeline_cache_key(cache, self.SOURCE) == \
-            pipeline_cache_key(cache, self.SOURCE, optimize=False)
+        assert cache_key(cache, self.SOURCE) == \
+            cache_key(cache, self.SOURCE, optimize=False)
 
     def test_disk_persistence(self, tmp_path):
         first = CompilationCache(str(tmp_path))
-        compile_to_module(self.SOURCE, cache=first)
+        compile_source(self.SOURCE, cache=first)
         assert list(tmp_path.glob("*.stsa"))
         second = CompilationCache(str(tmp_path))
-        key = pipeline_cache_key(second, self.SOURCE)
+        key = cache_key(second, self.SOURCE)
         assert second.get(key) is not None
         assert second.hits == 1
-        module = compile_to_module(self.SOURCE, cache=second)
+        module = compile_source(self.SOURCE, cache=second)
         assert encode_module(module) == second.get(key)
 
     def test_clear_empties_memory_and_disk(self, tmp_path):
         cache = CompilationCache(str(tmp_path))
-        compile_to_module(self.SOURCE, cache=cache)
+        compile_source(self.SOURCE, cache=cache)
         cache.clear()
         assert len(cache) == 0
         assert not list(tmp_path.glob("*.stsa"))
-        assert cache.get(pipeline_cache_key(cache, self.SOURCE)) is None
+        assert cache.get(cache_key(cache, self.SOURCE)) is None
 
     def test_corrupt_entry_fails_safely(self):
         cache = CompilationCache()
-        key = pipeline_cache_key(cache, self.SOURCE)
+        key = cache_key(cache, self.SOURCE)
         cache.put(key, b"\x00garbage")
         with pytest.raises(DecodeError):
-            compile_to_module(self.SOURCE, cache=cache)
+            compile_source(self.SOURCE, cache=cache)
 
     def test_stage_seconds_recorded(self):
         cache = CompilationCache()
-        stages: dict = {}
-        compile_to_module(self.SOURCE, optimize=True, cache=cache,
-                          stage_seconds=stages)
+        cold = CompilationSession(optimize=True, cache=cache)
+        cold.compile(self.SOURCE)
+        stages = cold.stage_seconds
         assert set(stages) == {"parse", "ssa", "opt"}
         assert all(seconds >= 0 for seconds in stages.values())
-        warm_stages: dict = {}
-        compile_to_module(self.SOURCE, optimize=True, cache=cache,
-                          stage_seconds=warm_stages)
+        warm = CompilationSession(optimize=True, cache=cache)
+        warm.compile(self.SOURCE)
         # a hit goes through the fused verifying loader
-        assert set(warm_stages) == {"load"}
+        assert set(warm.stage_seconds) == {"load"}

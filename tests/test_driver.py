@@ -5,6 +5,7 @@ rebuild determinism."""
 import pytest
 
 from repro.analysis.manager import AnalysisManager
+from repro.api import compile_source
 from repro.cache import CompilationCache
 from repro.driver import (
     ALL_PASSES,
@@ -18,12 +19,8 @@ from repro.driver import (
     parse_pass_spec,
     spec_string,
 )
-from repro.driver.passes import effective_passes
-from repro.pipeline import (
-    PIPELINE_FLAG_DEFAULTS,
-    compile_to_module,
-    pipeline_cache_key,
-)
+from repro.driver.passes import STEP_FUNCTIONS, effective_passes
+from tests.conftest import cache_key
 
 
 SOURCE = """
@@ -124,52 +121,53 @@ class TestCacheKeyCoverage:
         # hits, silently disabling the cache for that caller
         cache = CompilationCache()
         with pytest.raises(TypeError, match="optimise"):
-            pipeline_cache_key(cache, SOURCE, optimise=True)
+            cache_key(cache, SOURCE, optimise=True)
 
     def test_known_flags_accepted(self):
         cache = CompilationCache()
-        for flag, default in PIPELINE_FLAG_DEFAULTS.items():
-            assert pipeline_cache_key(cache, SOURCE, **{flag: default}) \
-                == pipeline_cache_key(cache, SOURCE)
+        defaults = {"optimize": False, "passes": None, "prune_phis": True}
+        for flag, default in defaults.items():
+            assert cache_key(cache, SOURCE, **{flag: default}) \
+                == cache_key(cache, SOURCE)
 
     def test_distinct_pass_specs_distinct_keys(self):
         cache = CompilationCache()
         keys = {
-            pipeline_cache_key(cache, SOURCE),
-            pipeline_cache_key(cache, SOURCE, optimize=True),
-            pipeline_cache_key(cache, SOURCE, passes="constprop"),
-            pipeline_cache_key(cache, SOURCE, passes="constprop,dce"),
-            pipeline_cache_key(cache, SOURCE, passes="cse_fields"),
+            cache_key(cache, SOURCE),
+            cache_key(cache, SOURCE, optimize=True),
+            cache_key(cache, SOURCE, passes="constprop"),
+            cache_key(cache, SOURCE, passes="constprop,dce"),
+            cache_key(cache, SOURCE, passes="cse_fields"),
         }
         assert len(keys) == 5
 
     def test_spec_aliases_share_a_key(self):
         cache = CompilationCache()
         # optimize=True IS the canonical spec; order does not matter
-        assert pipeline_cache_key(cache, SOURCE, optimize=True) \
-            == pipeline_cache_key(cache, SOURCE, passes=CANONICAL_SPEC)
-        assert pipeline_cache_key(cache, SOURCE, passes="dce,constprop") \
-            == pipeline_cache_key(cache, SOURCE, passes="constprop,dce")
+        assert cache_key(cache, SOURCE, optimize=True) \
+            == cache_key(cache, SOURCE, passes=CANONICAL_SPEC)
+        assert cache_key(cache, SOURCE, passes="dce,constprop") \
+            == cache_key(cache, SOURCE, passes="constprop,dce")
         # explicit no-op pipeline == the unoptimized default
-        assert pipeline_cache_key(cache, SOURCE, passes="") \
-            == pipeline_cache_key(cache, SOURCE)
+        assert cache_key(cache, SOURCE, passes="") \
+            == cache_key(cache, SOURCE)
 
     def test_unoptimized_entry_never_served_for_optimized_compile(self):
         cache = CompilationCache()
-        plain = compile_to_module(SOURCE, cache=cache)
-        optimized = compile_to_module(SOURCE, optimize=True, cache=cache)
+        plain = compile_source(SOURCE, cache=cache)
+        optimized = compile_source(SOURCE, optimize=True, cache=cache)
         assert optimized.instruction_count() \
             < plain.instruction_count()
         # both forms landed under their own keys; a rerun hits each
         assert cache.misses == 2
-        rerun = compile_to_module(SOURCE, optimize=True, cache=cache)
+        rerun = compile_source(SOURCE, optimize=True, cache=cache)
         assert cache.hits == 1
         assert rerun.instruction_count() == optimized.instruction_count()
 
 
 class TestAnalysisManager:
     def _function(self, optimize=False):
-        module = compile_to_module(SOURCE, optimize=optimize, cache=False)
+        module = compile_source(SOURCE, optimize=optimize, cache=False)
         return module, next(iter(module.functions.values()))
 
     def test_results_are_cached(self):
@@ -229,9 +227,33 @@ class TestCompilationSession:
         assert {cls.info.name for cls in classfiles} \
             == {info.name for info in module.classes}
 
+    def test_repeat_lowering_is_idempotent(self):
+        # regression: every lowering appended another <clinit> to the
+        # ClassInfo the front-end memo shares, so a second compile in
+        # one session (or classfiles, then compile) grew the module
+        from repro.bench.corpus import corpus_source
+        from repro.encode.serializer import encode_module
+        source = corpus_source("MiniVM")  # has static initialisers
+        fresh = encode_module(
+            CompilationSession(cache=False).compile(source))
+
+        twice = CompilationSession(cache=False)
+        twice.compile(source)
+        assert encode_module(twice.compile(source)) == fresh
+
+        mixed = CompilationSession(cache=False)
+        mixed.compile_to_classfiles(source)
+        assert encode_module(mixed.compile(source)) == fresh
+
+        for session in (twice, mixed):
+            unit, _ = session.frontend(source)
+            minivm = next(decl.info for decl in unit.classes
+                          if decl.info.name == "MiniVM")
+            assert [m.name for m in minivm.methods].count("<clinit>") == 1
+
     def test_session_matches_legacy_wrapper(self):
         from repro.encode.serializer import encode_module
-        legacy = compile_to_module(SOURCE, optimize=True, cache=False)
+        legacy = compile_source(SOURCE, optimize=True, cache=False)
         session = CompilationSession(optimize=True, cache=False)
         module = session.compile(SOURCE)
         assert encode_module(module) == encode_module(legacy)
@@ -253,7 +275,7 @@ class TestCompilationSession:
         module = optimized.compile(SOURCE)
         # the cached no-op module must not be served for -O
         assert cache.hits == 0 and cache.misses == 2
-        full = compile_to_module(SOURCE, optimize=True, cache=False)
+        full = compile_source(SOURCE, optimize=True, cache=False)
         assert module.instruction_count() == full.instruction_count()
 
 
@@ -299,31 +321,17 @@ class TestRebuildDeterminism:
                 f"rebuild diverged at trial {trial}"
 
 
-class TestLegacyWrappers:
-    def test_optimize_function_flat_stats_shape(self):
-        from repro.opt.pipeline import optimize_function
-        module = compile_to_module(SOURCE, cache=False)
-        function = next(iter(module.functions.values()))
-        stats = optimize_function(function)
-        assert stats["function"] == function.name
-        assert "constprop_folded" in stats
-
-    def test_pass_functions_alias_driver_steps(self):
-        from repro.driver.passes import STEP_FUNCTIONS
-        from repro.opt import pipeline as opt_pipeline
-        assert opt_pipeline.PASS_FUNCTIONS is STEP_FUNCTIONS
-
+class TestStepFunctions:
     def test_monkeypatched_step_called_without_analyses(self, monkeypatch):
-        # the historical sabotage contract: a patched step that only
-        # accepts (function,) must keep working under the new manager
-        from repro.opt import pipeline as opt_pipeline
+        # the sabotage contract: a patched step that only accepts
+        # (function,) must keep working under the manager
         calls = []
 
         def patched(function):
             calls.append(function.name)
             return {"patched": 1}
 
-        monkeypatch.setitem(opt_pipeline.PASS_FUNCTIONS, "dce", patched)
+        monkeypatch.setitem(STEP_FUNCTIONS, "dce", patched)
         session = CompilationSession(optimize=True, cache=False)
         module = session.build_module(SOURCE)
         session.optimize(module)

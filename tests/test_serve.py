@@ -64,9 +64,9 @@ SOURCE_PRINT = ('class Main { static int main() '
 
 
 def _wire(source: str = SOURCE, optimize: bool = False) -> bytes:
+    from repro.api import compile_source
     from repro.encode.serializer import encode_module
-    from repro.pipeline import compile_to_module
-    return encode_module(compile_to_module(source, optimize=optimize))
+    return encode_module(compile_source(source, optimize=optimize))
 
 
 # ======================================================================

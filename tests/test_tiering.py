@@ -12,6 +12,7 @@ import types
 
 import pytest
 
+from repro.api import compile_source
 from repro.encode.serializer import encode_module
 from repro.fuzz.oracle import PureInterpreter
 from repro.interp.interpreter import (
@@ -22,7 +23,6 @@ from repro.interp.interpreter import (
 from repro.interp.jit import JitCompiler
 from repro.interp.trace import TracingInterpreter
 from repro.loader import StreamingLoader, load_module
-from repro.pipeline import compile_to_module
 
 NEVER = 10 ** 9
 
@@ -59,7 +59,7 @@ def compiled(interp, name: str) -> bool:
 
 
 def assert_parity(engine, source, main_class, **kwargs):
-    module = compile_to_module(source)
+    module = compile_source(source)
     expected, _ = observe(PureInterpreter, module, main_class, **kwargs)
     actual, interp = observe(engine, module, main_class, **kwargs)
     assert actual == expected
@@ -175,7 +175,7 @@ class TestLimitsInCompiledCode:
     @pytest.mark.parametrize("engine", [JitCompiler, LoopsTierUp,
                                         CallsTierUp])
     def test_step_limit_fires_at_the_interpreters_point(self, engine):
-        module = compile_to_module(self.LOOP_SOURCE)
+        module = compile_source(self.LOOP_SOURCE)
         full, _ = observe(PureInterpreter, module, "T")
         steps = full[2]
         for cut in range(1, steps, 7):
@@ -186,7 +186,7 @@ class TestLimitsInCompiledCode:
             assert actual[1].startswith(f"exceeded {cut} steps in T.")
 
     def test_allocation_cap_in_compiled_code(self):
-        module = compile_to_module("""
+        module = compile_source("""
         class T {
             static void main() {
                 for (int n = 1; n < 100; n = n * 2) {
@@ -213,7 +213,7 @@ class TestDeepRecursion:
 
     @pytest.mark.parametrize("engine", [JitCompiler, CallsTierUp])
     def test_recursion_to_moderate_depth(self, engine):
-        module = compile_to_module(self.SOURCE)
+        module = compile_source(self.SOURCE)
         fn = module.function_named("T", "depth")
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(10000)
@@ -231,21 +231,21 @@ class TestEngineSettings:
         def refuse(*args):
             raise AssertionError("tier-up under --trace")
         monkeypatch.setattr(Interpreter, "_tier_up", refuse)
-        module = compile_to_module(CALLEE_SOURCE)
+        module = compile_source(CALLEE_SOURCE)
         interp = TracingInterpreter(module, threshold=2)
         for _ in range(3):
             assert interp.run_main("T").stdout.startswith("2470\n")
         assert interp._tiers is None
 
     def test_jit_compiler_reports_real_steps(self):
-        module = compile_to_module(CALLEE_SOURCE)
+        module = compile_source(CALLEE_SOURCE)
         expected, _ = observe(PureInterpreter, module, "T")
         actual, interp = observe(JitCompiler, module, "T")
         assert actual == expected and actual[2] > 0
         assert compiled(interp, "main") and compiled(interp, "toString")
 
     def test_generated_globals_do_not_reach_the_interpreter(self):
-        interp = JitCompiler(compile_to_module(CALLEE_SOURCE))
+        interp = JitCompiler(compile_source(CALLEE_SOURCE))
         interp.run_main("T")
         roots = [tier.code.__globals__ for tier in interp._tiers.values()
                  if tier.code is not None]
@@ -309,7 +309,7 @@ class T {
 
 class TestCallTargetsResolveOnFirstExecution:
     def _wire(self):
-        return encode_module(compile_to_module(LAZY_SOURCE))
+        return encode_module(compile_source(LAZY_SOURCE))
 
     @pytest.mark.parametrize("engine", [PureInterpreter, JitCompiler])
     def test_lazy_module_materializes_only_what_runs(self, engine):
